@@ -69,6 +69,8 @@ def _parse_metrics(text: str) -> tuple[str, ...]:
     for name in names:
         if name not in METRICS:
             raise UsageError(f"unknown metric {name!r} (choose from {', '.join(METRICS)} or all)")
+    if len(set(names)) != len(names):
+        raise UsageError(f"metric list {text!r} names a metric more than once")
     return names
 
 
@@ -179,8 +181,10 @@ def cmd_explain(args) -> None:
         with open(os.path.join(out, f"scores_{metric}.tsv"), "w") as fh:
             fh.write(score_dump_text(per_metric))
         ranked = result.ranked[metric]
+        rank_of = {}
         for layer in sorted(ranked.layers):
             for rank_i, neuron in enumerate(ranked.layers[layer], start=1):
+                rank_of[neuron] = rank_i
                 ranked_rows.append(f"{metric}\t{layer}\t{rank_i}\t{neuron.channel}"
                                    f"\t{_fmt(value_of[(metric, neuron)])}")
         for layer, missing in sorted(ranked.shortfalls.items()):
@@ -188,11 +192,10 @@ def cmd_explain(args) -> None:
         patch_set = result.patch_sets[metric]
         if not patch_set.patches:
             notes.append(f"{metric}: no live patches (degenerate result)")
-        rank_in_layer: dict[int, int] = {}
+        # numbered by the neuron's rank in ranked.tsv, so a dead
+        # reconstruction leaves a gap rather than shifting later patches
         for patch in patch_set.patches:
-            layer = patch.neuron.layer
-            rank_in_layer[layer] = rank_in_layer.get(layer, 0) + 1
-            r = rank_in_layer[layer]
+            layer, r = patch.neuron.layer, rank_of[patch.neuron]
             write_ppm(os.path.join(out, f"{metric}_{layer}_{r}.ppm"), patch.pixels)
             top, left, height, width = patch.bbox
             patch_rows.append(f"{metric}\t{layer}\t{r}\t{patch.neuron.channel}"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -231,12 +230,17 @@ def networks_equal(a: NetworkSpec, b: NetworkSpec) -> bool:
 # layer math (batched; dtype follows the input)
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """[N, C, H, W] -> [N*Ho*Wo, C*kh*kw] patch matrix."""
+    """[N, C, H, W] -> [N, C*kh*kw, Ho*Wo] channel-major patch matrix.
+
+    Row (c, dy, dx) of image n holds input cell (c, i*stride + dy,
+    j*stride + dx) of the padded image for every output position (i, j), so
+    each copy reads and writes whole output rows.
+    """
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     n, c, ho, wo = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -250,19 +254,18 @@ def conv_forward_cols(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.n
     ho = conv_out_extent(h, kh, layer.stride, layer.pad)
     wo = conv_out_extent(w, kw, layer.stride, layer.pad)
     cols = _im2col(x, kh, kw, layer.stride, layer.pad)
-    wmat = layer.w.reshape(o, -1).astype(x.dtype, copy=False)
-    out = cols @ wmat.T
-    out += layer.b.astype(x.dtype, copy=False)
-    return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2), cols
+    out = layer.w.reshape(o, -1).astype(x.dtype, copy=False) @ cols
+    out += layer.b.astype(x.dtype, copy=False)[:, None]
+    return out.reshape(n, o, ho, wo), cols
 
 
 def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch columns back onto the image grid."""
+    """Adjoint of _im2col: add each (dy, dx) row block back onto the image grid."""
     n, c, h, w = x_shape
     ho = conv_out_extent(h, kh, stride, pad)
     wo = conv_out_extent(w, kw, stride, pad)
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    d6 = dcols.reshape(n, c, kh, kw, ho, wo)
     for dy in range(kh):
         for dx in range(kw):
             dxp[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride] += d6[:, :, dy, dx]
@@ -279,16 +282,17 @@ def conv_input_grad(dout: np.ndarray, layer: ConvLayer, x_shape) -> np.ndarray:
     """
     o, ci, kh, kw = layer.w.shape
     n = dout.shape[0]
-    dmat = dout.transpose(0, 2, 3, 1).reshape(-1, o)
-    dcols = dmat @ layer.w.reshape(o, -1).astype(dout.dtype, copy=False)
+    dcols = layer.w.reshape(o, -1).T.astype(dout.dtype, copy=False) @ dout.reshape(n, o, -1)
     return _col2im(dcols, (n,) + tuple(x_shape[1:]), kh, kw, layer.stride, layer.pad)
 
 
 def conv_param_grad(dout: np.ndarray, cols: np.ndarray, layer: ConvLayer):
-    o = layer.w.shape[0]
-    dmat = dout.transpose(0, 2, 3, 1).reshape(-1, o)
-    dw = (dmat.T @ cols).reshape(layer.w.shape)
-    db = dmat.sum(axis=0)
+    n, o = dout.shape[:2]
+    dmat = dout.reshape(n, o, -1)
+    # per-image [C*kh*kw, O] products summed over the batch; this operand
+    # order measured faster than dout @ cols^T at the reference shapes
+    dw = (cols @ dmat.transpose(0, 2, 1)).sum(axis=0).T.reshape(layer.w.shape)
+    db = dmat.sum(axis=(0, 2))
     return dw, db
 
 
@@ -316,14 +320,22 @@ def maxpool_forward(x: np.ndarray, layer: MaxPoolLayer) -> tuple[np.ndarray, np.
     return out, switches
 
 
-def maxpool_backward(dout: np.ndarray, switches: np.ndarray, x_shape) -> np.ndarray:
+def maxpool_backward(dout: np.ndarray, switches: np.ndarray, x_shape,
+                     layer: MaxPoolLayer) -> np.ndarray:
+    """Route each pooled gradient to the cell that won its window.
+
+    When windows do not overlap (stride >= window) every input cell wins at
+    most one pooled cell, so plain assignment is exact; overlapping windows
+    can pick one cell twice and need the accumulating np.add.at.
+    """
     n, c, h, w = x_shape
-    dx = np.zeros((n, c, h * w), dtype=dout.dtype)
-    flat_idx = switches.reshape(n, c, -1)
-    flat_val = dout.reshape(n, c, -1)
-    ni = np.arange(n)[:, None, None]
-    ci = np.arange(c)[None, :, None]
-    np.add.at(dx, (ni, ci, flat_idx), flat_val)
+    dx = np.zeros(n * c * h * w, dtype=dout.dtype)
+    flat_idx = switches.reshape(n * c, -1) + (np.arange(n * c) * (h * w))[:, None]
+    flat_val = dout.reshape(n * c, -1)
+    if layer.stride >= layer.window:
+        dx[flat_idx] = flat_val
+    else:
+        np.add.at(dx, flat_idx, flat_val)
     return dx.reshape(n, c, h, w)
 
 
@@ -393,18 +405,15 @@ def forward(net: NetworkSpec, image: np.ndarray, record: bool = True,
     return ActivationTrace(sample_id, conv_acts, switches, out, pred, float(out[pred]))
 
 
-def forward_batch(net: NetworkSpec, images, threads: int = 0) -> list[ActivationTrace]:
+def forward_batch(net: NetworkSpec, images) -> list[ActivationTrace]:
     """Trace every image independently; order and content match serial forward."""
-    def run(i: int) -> ActivationTrace:
+    traces = []
+    for i, image in enumerate(images):
         try:
-            return forward(net, images[i], record=True, sample_id=i)
+            traces.append(forward(net, image, record=True, sample_id=i))
         except PatchlensError as exc:
             raise type(exc)(f"sample {i}: {exc}") from exc
-
-    if threads and threads > 1 and len(images) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(images))))
-    return [run(i) for i in range(len(images))]
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +484,7 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
             grad = grad.reshape(cache)
         elif isinstance(layer, MaxPoolLayer):
             sw, x_shape = cache
-            grad = maxpool_backward(grad, sw, x_shape)
+            grad = maxpool_backward(grad, sw, x_shape, layer)
         elif isinstance(layer, ReluLayer):
             grad = grad * cache
         elif isinstance(layer, ConvLayer):

@@ -27,7 +27,6 @@ class PipelineConfig:
     layer_range: tuple[int, int] = (2, 6)
     eps: float = 0.1
     lambda_threshold: float = 1e-3
-    threads: int = 0
 
     def precision_config(self) -> PrecisionConfig:
         return PrecisionConfig(self.lambda_threshold, self.n_top, self.layer_range)
@@ -42,10 +41,6 @@ class ExplainResult:
     scores: list[ImportanceScore]
     ranked: dict[str, RankedSet]
     patch_sets: dict[str, PatchSet]
-
-    def all_patches(self):
-        for metric in self.patch_sets:
-            yield from self.patch_sets[metric].patches
 
 
 def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
@@ -66,7 +61,7 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
     traces: list[ActivationTrace] = []
     if needs_batch:
         batch = perturb_batch(image, cfg.perturbation_config())
-        traces = forward_batch(net, batch, threads=cfg.threads)
+        traces = forward_batch(net, batch)
     pcfg = cfg.precision_config()
     scores = score_neurons(net, original, traces, pcfg, metrics)
     ranked = {m: rank(scores, m, pcfg) for m in metrics}

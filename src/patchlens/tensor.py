@@ -39,10 +39,6 @@ class Rng:
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
-    def spawn(self, stream: int) -> "Rng":
-        """Fresh stream under the same master seed."""
-        return Rng(self.seed, stream)
-
     def split(self, k: int) -> "Rng":
         """Child stream k of this stream (disjoint from other children)."""
         return Rng(self.seed, self.stream * _SPLIT_BASE + k + 1)
@@ -59,9 +55,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, seq):
-        return seq[self.integers(0, len(seq))]
 
 
 def gaussian_sample(rng: Rng, mean: float, stddev: float, shape) -> np.ndarray:

@@ -34,6 +34,33 @@ def naive_conv(x, w, b, stride=1, pad=0):
     return out
 
 
+def naive_conv_input_grad(dout, w, x_shape, stride=1, pad=0):
+    """Adjoint of naive_conv (no bias), one sample. dout: [O,Ho,Wo]."""
+    dout = np.asarray(dout, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    c, h, wd = x_shape
+    o, _, kh, kw = w.shape
+    dx = np.zeros((c, h + 2 * pad, wd + 2 * pad))
+    for f in range(o):
+        for i in range(dout.shape[1]):
+            for j in range(dout.shape[2]):
+                dx[:, i * stride:i * stride + kh, j * stride:j * stride + kw] += dout[f, i, j] * w[f]
+    return dx[:, pad:pad + h, pad:pad + wd]
+
+
+def naive_conv_param_grad(dout, x, kshape, stride=1, pad=0):
+    """(dw, db) of naive_conv for one sample. dout: [O,Ho,Wo], x: [C,H,W]."""
+    dout = np.asarray(dout, dtype=np.float64)
+    x = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (pad, pad), (pad, pad)))
+    o, c, kh, kw = kshape
+    dw = np.zeros(kshape)
+    for f in range(o):
+        for i in range(dout.shape[1]):
+            for j in range(dout.shape[2]):
+                dw[f] += dout[f, i, j] * x[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
+    return dw, dout.sum(axis=(1, 2))
+
+
 def naive_maxpool(x, window, stride):
     """Returns (pooled, argmax) with argmax as flat indices into each H*W plane."""
     x = np.asarray(x)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from patchlens import deconvnet
 from patchlens.cli import main
 from patchlens.imageio import write_pgm, write_ppm
 from patchlens.importance import METRICS
@@ -118,6 +119,33 @@ def test_explain_all_metrics_layout(trained, tmp_path):
         assert 0 <= int(top) < 32 and 0 <= int(left) < 32
 
 
+def test_patches_numbered_by_rank_after_dead_reconstruction(trained, tmp_path, monkeypatch):
+    # the first neuron deconvolved (first metric, lowest layer, rank 1)
+    # comes back all zero, so its patch is dead
+    real = deconvnet.deconvolve
+    victim = []
+
+    def deconvolve(net, trace, neuron):
+        if not victim:
+            victim.append(neuron)
+        out = real(net, trace, neuron)
+        return np.zeros_like(out) if neuron == victim[0] else out
+
+    monkeypatch.setattr(deconvnet, "deconvolve", deconvolve)
+    assert main(explain_args(trained, tmp_path, ["--metric", "all"])) == 0
+    ranked = {tuple(row.split("\t")[:4])
+              for row in (tmp_path / "ranked.tsv").read_text().strip().split("\n")[1:]}
+    patches = [tuple(row.split("\t")[:4])
+               for row in (tmp_path / "patches.tsv").read_text().strip().split("\n")[1:]]
+    assert patches and all(p in ranked for p in patches)
+    layer, channel = str(victim[0].layer), str(victim[0].channel)
+    dead = {r for r in ranked if (r[1], r[3]) == (layer, channel)}
+    assert dead and not dead & set(patches)
+    for metric, _, rank, _ in dead:
+        assert not (tmp_path / f"{metric}_{layer}_{rank}.ppm").exists()
+    assert "dead reconstruction" in (tmp_path / "MANIFEST.txt").read_text()
+
+
 def test_explain_single_metric(trained, tmp_path):
     rc = main(explain_args(trained, tmp_path, ["--metric", "act-sum"]))
     assert rc == 0
@@ -171,6 +199,10 @@ def test_usage_errors(tmp_path, trained):
                  "--out", str(tmp_path / "x")]) == 1
     assert main(explain_args(trained, tmp_path / "y", ["--metric", "no-such"])) == 1
     assert main(explain_args(trained, tmp_path / "z", ["--layers", "potato"])) == 1
+    assert main(explain_args(trained, tmp_path / "w", ["--metric", "act-sum,act-sum"])) == 1
+    assert main(["evaluate", "--checkpoints", str(trained / "checkpoints"),
+                 "--data", str(trained / "dataset"), "--metrics", "act-var,act-sum,act-var",
+                 "--out", str(tmp_path / "v")]) == 1
 
 
 def test_missing_weights_exit_code(trained, tmp_path):

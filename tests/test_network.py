@@ -12,11 +12,16 @@ from patchlens.network import (
     OutputLayer,
     ReluLayer,
     TrainConfig,
+    conv_forward,
+    conv_forward_cols,
+    conv_input_grad,
     conv_out_extent,
+    conv_param_grad,
     evaluate_accuracy,
     forward,
     forward_batch,
     load_weights,
+    loss_gradients,
     maxpool_forward,
     networks_equal,
     reference_network,
@@ -25,7 +30,8 @@ from patchlens.network import (
     train,
 )
 from patchlens.tensor import DTYPE, Rng
-from oracles import naive_conv, naive_maxpool, run_gradcheck
+from oracles import (naive_conv, naive_conv_input_grad, naive_conv_param_grad,
+                     naive_maxpool, run_gradcheck)
 
 
 def tiny_head(in_features, classes=2):
@@ -147,17 +153,6 @@ def test_duplicated_image_identical_traces():
         assert np.array_equal(t.conv_acts[1], traces[0].conv_acts[1])
 
 
-def test_parallel_matches_serial():
-    net = random_small_net()
-    r = Rng(9, 0)
-    imgs = [r.split(i).uniform(0, 1, (1, 8, 8)).astype(DTYPE) for i in range(8)]
-    serial = forward_batch(net, imgs, threads=1)
-    parallel = forward_batch(net, imgs, threads=4)
-    for a, b in zip(serial, parallel):
-        assert a.output.tobytes() == b.output.tobytes()
-        assert all(a.conv_acts[k].tobytes() == b.conv_acts[k].tobytes() for k in a.conv_acts)
-
-
 def test_batch_error_names_sample():
     net = random_small_net()
     good = np.zeros((1, 8, 8), dtype=DTYPE)
@@ -192,6 +187,34 @@ def test_switch_points_at_pooled_max(seed, window, stride):
     want, want_arg = naive_maxpool(x, window, stride)
     assert np.array_equal(out, want)
     assert np.array_equal(switches.astype(np.int64), want_arg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 2), st.integers(0, 1), st.integers(3, 9), st.integers(3, 9))
+def test_batched_conv_kernels_match_per_sample_loops(seed, c, o, kh, kw, stride, pad, h, w):
+    if kh > h + 2 * pad or kw > w + 2 * pad:
+        return
+    r = Rng(seed, 0)
+    x = r.split(0).uniform(-1, 1, (3, c, h, w))
+    layer = ConvLayer(r.split(1).uniform(-1, 1, (o, c, kh, kw)), r.split(2).uniform(-1, 1, (o,)),
+                      stride=stride, pad=pad)
+    out, cols = conv_forward_cols(x, layer)
+    assert np.array_equal(out, conv_forward(x, layer))
+    dout = r.split(3).uniform(-1, 1, out.shape)
+    dx = conv_input_grad(dout, layer, x.shape)
+    dw, db = conv_param_grad(dout, cols, layer)
+    assert dx.shape == x.shape and dw.shape == layer.w.shape and db.shape == layer.b.shape
+    want_dw, want_db = np.zeros(layer.w.shape), np.zeros(o)
+    for n in range(3):
+        assert np.allclose(out[n], naive_conv(x[n], layer.w, layer.b, stride, pad), rtol=0, atol=1e-12)
+        want_dx = naive_conv_input_grad(dout[n], layer.w, x.shape[1:], stride, pad)
+        assert np.allclose(dx[n], want_dx, rtol=0, atol=1e-12)
+        sample_dw, sample_db = naive_conv_param_grad(dout[n], x[n], layer.w.shape, stride, pad)
+        want_dw += sample_dw
+        want_db += sample_db
+    assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
+    assert np.allclose(db, want_db, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,6 +286,52 @@ def test_divergence_reports_epoch():
 
 def test_gradcheck_small():
     assert run_gradcheck(3) < 1e-2
+
+
+def two_pool_net(window, stride, side, seed):
+    """float64 conv-relu-pool-conv-relu-pool-dense net on [2, side, side]."""
+    r = Rng(seed, 0)
+    p1 = (side - window) // stride + 1
+    p2 = (p1 - window) // stride + 1
+    return NetworkSpec((2, side, side), [
+        ConvLayer(r.split(0).uniform(-0.5, 0.5, (3, 2, 3, 3)), r.split(1).uniform(-0.1, 0.1, (3,)),
+                  stride=1, pad=1),
+        ReluLayer(), MaxPoolLayer(window, stride),
+        ConvLayer(r.split(2).uniform(-0.5, 0.5, (4, 3, 3, 3)), r.split(3).uniform(-0.1, 0.1, (4,)),
+                  stride=1, pad=1),
+        ReluLayer(), MaxPoolLayer(window, stride),
+        FlattenLayer(),
+        DenseLayer(r.split(4).uniform(-0.5, 0.5, (3, 4 * p2 * p2)), r.split(5).uniform(-0.1, 0.1, (3,))),
+        OutputLayer(3),
+    ])
+
+
+# 2x2/2 pools never overlap (plain assignment in maxpool_backward); 3x3/2
+# pools share border cells (np.add.at)
+@pytest.mark.parametrize("window,stride,side", [(2, 2, 8), (3, 2, 11)])
+def test_gradcheck_through_two_pools(window, stride, side):
+    net = two_pool_net(window, stride, side, seed=window)
+    r = Rng(40 + window, 0)
+    xb = r.split(0).uniform(0, 1, (3, 2, side, side))
+    yb = np.array([0, 1, 2])
+    _, grads = loss_gradients(net, xb, yb)
+    assert sorted(grads) == [0, 3, 7]
+    eps = 1e-6
+    worst = 0.0
+    for pos, (dw, db) in grads.items():
+        layer = net.layers[pos]
+        for arr, grad in ((layer.w, dw), (layer.b, db)):
+            flat, gflat = arr.reshape(-1), grad.reshape(-1)
+            for idx in range(flat.size):
+                keep = flat[idx]
+                flat[idx] = keep + eps
+                lp, _ = loss_gradients(net, xb, yb)
+                flat[idx] = keep - eps
+                lm, _ = loss_gradients(net, xb, yb)
+                flat[idx] = keep
+                fd = (lp - lm) / (2 * eps)
+                worst = max(worst, abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-6))
+    assert worst < 1e-5
 
 
 # ---------------------------------------------------------------------------
