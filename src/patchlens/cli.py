@@ -135,13 +135,13 @@ def cmd_train(args) -> None:
     val_x = np.stack([im.image for im in val_set]) if val_set else None
     val_y = np.asarray([im.label for im in val_set], dtype=np.int64) if val_set else None
 
-    log = ["epoch\ttrain_acc\tval_acc"]
+    log = ["epoch\ttrain_acc\tval_acc\tloss"]
     result = train(net, x, y, TrainConfig(epochs=args.epochs, lr=args.lr),
                    Rng(seed, _STREAM_TRAIN), val_x, val_y)
-    for (epoch, _loss, train_acc, val_acc), snapshot in zip(result.history, result.checkpoints):
+    for (epoch, loss, train_acc, val_acc), snapshot in zip(result.history, result.checkpoints):
         save_weights(snapshot, os.path.join(ckpt_dir, f"epoch_{epoch:03d}.nnwc"),
                      os.path.join(ckpt_dir, "network.manifest"))
-        log.append(f"{epoch}\t{_fmt(train_acc)}\t{_fmt(val_acc)}")
+        log.append(f"{epoch}\t{_fmt(train_acc)}\t{_fmt(val_acc)}\t{_fmt(loss)}")
     with open(os.path.join(out, "train_log.tsv"), "w") as fh:
         fh.write("\n".join(log) + "\n")
 

@@ -27,7 +27,6 @@ class Patch:
     bbox: tuple[int, int, int, int]  # top, left, height, width
     pixels: np.ndarray               # crop of the original image
     reconstruction: np.ndarray       # matching crop of the deconv output
-    sample_id: int = 0
 
 
 @dataclass
@@ -90,7 +89,7 @@ def deconvolve(net: NetworkSpec, trace: ActivationTrace, neuron: NeuronId) -> np
 
 
 def extract_patch(image: np.ndarray, reconstruction: np.ndarray, neuron: NeuronId,
-                  eps: float, metric: str = "", sample_id: int = 0) -> Patch:
+                  eps: float, metric: str = "") -> Patch:
     """Crop the tight bounding box of pixels where the reconstruction's
     channel-max magnitude reaches eps times its global peak."""
     if not 0 < eps < 1:
@@ -109,7 +108,7 @@ def extract_patch(image: np.ndarray, reconstruction: np.ndarray, neuron: NeuronI
     bbox = (top, left, bottom - top + 1, right - left + 1)
     pixels = image[:, top:bottom + 1, left:right + 1].copy()
     recon = reconstruction[:, top:bottom + 1, left:right + 1].copy()
-    return Patch(neuron, metric, bbox, pixels, recon, sample_id)
+    return Patch(neuron, metric, bbox, pixels, recon)
 
 
 def extract_top_patches(net: NetworkSpec, trace: ActivationTrace, ranked: RankedSet,
@@ -121,8 +120,7 @@ def extract_top_patches(net: NetworkSpec, trace: ActivationTrace, ranked: Ranked
         for neuron in ranked.layers[layer]:
             reconstruction = deconvolve(net, trace, neuron)
             try:
-                patch = extract_patch(image, reconstruction, neuron, eps,
-                                      metric=ranked.metric, sample_id=trace.sample_id)
+                patch = extract_patch(image, reconstruction, neuron, eps, metric=ranked.metric)
             except DeadPathError:
                 out.dead.append(neuron)
                 continue

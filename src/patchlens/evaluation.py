@@ -200,26 +200,19 @@ def patch_localization(patches, mask: np.ndarray, min_overlap: int = 1) -> float
     return hits / len(patches)
 
 
-def build_patch_dataset(images: list[LabeledImage], metric: str, net: NetworkSpec,
-                        cfg: PipelineConfig, size: int = 16):
-    """Top patches of every image under one metric, resized to size x size.
-
-    Returns (patches, labels, failures) where failures lists image names
-    whose extraction produced nothing (all selected paths dead).
-    """
-    patches, labels, failures = [], [], []
+def harvest_patches(net: NetworkSpec, images: list[LabeledImage], cfg: PipelineConfig,
+                    metrics) -> dict[str, tuple[list, list]]:
+    """Explain each image once and collect, per metric, its top patches
+    resized to the secondary classifier's 16x16 input, with the parent
+    image's label."""
+    out = {m: ([], []) for m in metrics}
     for im in images:
-        result = explain(net, im.image, cfg, metrics=(metric,))
-        cut = result.patch_sets[metric].patches
-        if not cut:
-            failures.append(im.name)
-            continue
-        for p in cut:
-            patches.append(resize_bilinear(p.pixels, size, size))
-            labels.append(im.label)
-    if not patches:
-        raise UsageError(f"no patches extracted under {metric}")
-    return patches, labels, failures
+        for m, patch_set in explain(net, im.image, cfg, metrics=metrics).patch_sets.items():
+            patches, labels = out[m]
+            for p in patch_set.patches:
+                patches.append(resize_bilinear(p.pixels, 16, 16))
+                labels.append(im.label)
+    return out
 
 
 def secondary_network(rng: Rng, classes: int = 2, size: int = 16) -> NetworkSpec:
@@ -319,38 +312,21 @@ def convergence_study(checkpoints, probes: list[LabeledImage], val_images, val_l
     """
     if len(checkpoints) < 2:
         raise UsageError("convergence study needs at least 2 checkpoints")
-    shared = patch_images is None
-    if shared:
+    if patch_images is None:
         patch_images = probes
-    want = tuple(dict.fromkeys(("act-out-corr", "act-precision") + tuple(metrics)))
     points = []
     for epoch, net in checkpoints:
-        ranked_pairs = []
-        per_metric_patches = {m: ([], []) for m in metrics}
-
-        def harvest(result, label):
-            for m in metrics:
-                bucket = per_metric_patches[m]
-                for p in result.patch_sets[m].patches:
-                    bucket[0].append(resize_bilinear(p.pixels, 16, 16))
-                    bucket[1].append(label)
-
+        pairs = []
         for im in probes:
-            result = explain(net, im.image, cfg,
-                             metrics=want if shared else ("act-out-corr", "act-precision"))
-            ranked_pairs.append(jaccard(result.ranked["act-out-corr"],
-                                        result.ranked["act-precision"]))
-            if shared and secondary_epochs > 0:
-                harvest(result, im.label)
-        if not shared and secondary_epochs > 0:
-            for im in patch_images:
-                harvest(explain(net, im.image, cfg, metrics=want), im.label)
-        mean_j = float(np.mean(ranked_pairs))
+            result = explain(net, im.image, cfg, metrics=("act-out-corr", "act-precision"))
+            pairs.append(jaccard(result.ranked["act-out-corr"], result.ranked["act-precision"]))
+        harvested = harvest_patches(net, patch_images, cfg, metrics) if secondary_epochs > 0 else {}
+        mean_j = float(np.mean(pairs))
         val_acc = evaluate_accuracy(net, val_images, val_labels)
         for k, m in enumerate(metrics):
-            patches, labels = per_metric_patches[m]
+            patches, labels = harvested.get(m, ([], []))
             acc = float("nan")
-            if secondary_epochs > 0 and patches and len(set(labels)) > 1:
+            if patches and len(set(labels)) > 1:
                 acc = train_secondary(patches, labels, rng.split(k), epochs=secondary_epochs)
             points.append(TrajectoryPoint(epoch, m, val_acc, mean_j, acc))
     return points

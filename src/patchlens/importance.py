@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCorrelationError, UsageError
-from .network import ActivationTrace, ConvLayer, NetworkSpec
+from .network import ActivationTrace, BatchTrace, NetworkSpec
 from .tensor import pearson_abs, tensor_sum, variance
 
 METRICS = ("act-sum", "act-var", "weight-sum", "weight-var", "act-out-corr", "act-precision")
@@ -72,14 +72,16 @@ class RankedSet:
         return frozenset(n for picks in self.layers.values() for n in picks)
 
 
-def _activation(trace: ActivationTrace, neuron: NeuronId) -> np.ndarray:
+def _activation(trace: ActivationTrace | BatchTrace, neuron: NeuronId) -> np.ndarray:
+    """The neuron's recorded map: [H, W] from one trace, [N, H, W] from a batch."""
     try:
         acts = trace.conv_acts[neuron.layer]
     except KeyError:
         raise UsageError(f"trace has no recorded activations for conv layer {neuron.layer}") from None
-    if not 0 <= neuron.channel < acts.shape[0]:
-        raise UsageError(f"channel {neuron.channel} outside layer {neuron.layer}'s {acts.shape[0]} channels")
-    return acts[neuron.channel]
+    channels = acts.shape[-3]
+    if not 0 <= neuron.channel < channels:
+        raise UsageError(f"channel {neuron.channel} outside layer {neuron.layer}'s {channels} channels")
+    return acts[..., neuron.channel, :, :]
 
 
 def score_act_sum(trace: ActivationTrace, neuron: NeuronId) -> ImportanceScore:
@@ -114,14 +116,15 @@ def score_weight_var(net: NetworkSpec, neuron: NeuronId) -> ImportanceScore:
     return ImportanceScore(neuron, "weight-var", variance(sl))
 
 
-def score_correlation(traces: list[ActivationTrace], neuron: NeuronId,
+def score_correlation(batch: BatchTrace, neuron: NeuronId,
                       ref_class: int) -> ImportanceScore:
     """|Pearson r| between per-sample activation sum and the probability the
     network assigns to ref_class (the original image's predicted class)."""
-    if len(traces) < 2:
-        raise UsageError("correlation needs a batch of at least 2 traces")
-    sums = [tensor_sum(_activation(t, neuron)) for t in traces]
-    outs = [float(t.output[ref_class]) for t in traces]
+    maps = _activation(batch, neuron)
+    if len(maps) < 2:
+        raise UsageError("correlation needs a batch of at least 2 samples")
+    sums = [tensor_sum(m) for m in maps]
+    outs = batch.output[:, ref_class]
     try:
         value = pearson_abs(sums, outs)
     except DegenerateCorrelationError:
@@ -129,7 +132,7 @@ def score_correlation(traces: list[ActivationTrace], neuron: NeuronId,
     return ImportanceScore(neuron, "act-out-corr", value)
 
 
-def score_precision(traces: list[ActivationTrace], neuron: NeuronId,
+def score_precision(batch: BatchTrace, neuron: NeuronId,
                     cfg: PrecisionConfig) -> ImportanceScore:
     """Mean over cells of 1 / Var_i(cell), Var floored at 1e-12.
 
@@ -137,9 +140,10 @@ def score_precision(traces: list[ActivationTrace], neuron: NeuronId,
     lambda are degenerate: a dead channel is perfectly stable, and the floor
     would otherwise rank it at the top.
     """
-    if len(traces) < 2:
-        raise UsageError("precision needs a batch of at least 2 traces")
-    stack = np.stack([_activation(t, neuron) for t in traces]).astype(np.float64)
+    maps = _activation(batch, neuron)
+    if len(maps) < 2:
+        raise UsageError("precision needs a batch of at least 2 samples")
+    stack = maps.astype(np.float64)
     if float(np.mean(np.abs(stack))) < cfg.lambda_threshold:
         return ImportanceScore(neuron, "act-precision", 0.0, degenerate=True)
     cell_var = stack.var(axis=0)
@@ -148,13 +152,14 @@ def score_precision(traces: list[ActivationTrace], neuron: NeuronId,
 
 
 def score_neurons(net: NetworkSpec, original: ActivationTrace,
-                  traces: list[ActivationTrace], cfg: PrecisionConfig,
+                  batch: BatchTrace | None, cfg: PrecisionConfig,
                   metrics=METRICS) -> list[ImportanceScore]:
     """Score every neuron in cfg's layer range under the selected metrics.
 
     Baselines read the original image's trace; batch metrics read the
-    perturbation traces, with the correlation's output column fixed to the
-    class predicted for the original image.
+    perturbation batch's record (None when no batch metric is selected),
+    with the correlation's output column fixed to the class predicted for
+    the original image.
     """
     lo, hi = cfg.layer_range
     if hi > net.conv_count:
@@ -175,9 +180,9 @@ def score_neurons(net: NetworkSpec, original: ActivationTrace,
                 elif metric == "weight-var":
                     scores.append(score_weight_var(net, neuron))
                 elif metric == "act-out-corr":
-                    scores.append(score_correlation(traces, neuron, original.predicted_class))
+                    scores.append(score_correlation(batch, neuron, original.predicted_class))
                 elif metric == "act-precision":
-                    scores.append(score_precision(traces, neuron, cfg))
+                    scores.append(score_precision(batch, neuron, cfg))
     return scores
 
 

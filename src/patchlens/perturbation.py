@@ -29,17 +29,17 @@ class PerturbationConfig:
             raise UsageError(f"noise sigma must be > 0, got {self.sigma}")
 
 
-def perturb_batch(image: np.ndarray, cfg: PerturbationConfig) -> list[np.ndarray]:
-    """n clamped noisy copies of image; sample i comes from rng stream i.
+def perturb_batch(image: np.ndarray, cfg: PerturbationConfig) -> np.ndarray:
+    """[n, C, H, W] clamped noisy copies of image; sample i comes from rng
+    stream i.
 
     Stream addressing (not sequential draws from one stream) is what makes
     the batch independent of evaluation order: sample i is a pure function
     of (master_seed, i, image).
     """
     image = np.asarray(image, dtype=DTYPE)
-    samples = []
+    batch = np.empty((cfg.n,) + image.shape, dtype=DTYPE)
     for i in range(cfg.n):
-        rng = Rng(cfg.master_seed, i)
-        noise = gaussian_sample(rng, cfg.mean, cfg.sigma, image.shape)
-        samples.append(np.clip(image * noise, 0.0, 1.0))
-    return samples
+        noise = gaussian_sample(Rng(cfg.master_seed, i), cfg.mean, cfg.sigma, image.shape)
+        np.clip(image * noise, 0.0, 1.0, out=batch[i])
+    return batch

@@ -1,8 +1,9 @@
 """End-to-end explanation of one image: perturb, trace, score, rank, cut.
 
 explain() is the single entry point the CLI and the evaluation harness both
-build on; it returns everything the downstream consumers need (traces,
-scores, ranked sets, patches) so nothing is recomputed.
+build on. It returns the query image's own trace, the scores, the ranked
+sets and the patches, so nothing is recomputed; the perturbation batch's
+record is read by the scoring step and then dropped.
 """
 from __future__ import annotations
 
@@ -28,6 +29,11 @@ class PipelineConfig:
     eps: float = 0.1
     lambda_threshold: float = 1e-3
 
+    def __post_init__(self):
+        if not 0 < self.eps < 1:
+            raise UsageError(f"eps must lie in (0, 1), got {self.eps}")
+        self.precision_config()  # checks lambda, the top count and the layer range
+
     def precision_config(self) -> PrecisionConfig:
         return PrecisionConfig(self.lambda_threshold, self.n_top, self.layer_range)
 
@@ -47,8 +53,9 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
             metrics=METRICS) -> ExplainResult:
     """Full pipeline for one image under the selected metrics.
 
-    The perturbation batch drives only the two batch metrics' scores; every
-    deconvolution starts from the unperturbed image's own trace.
+    The perturbation batch drives only the two batch metrics' scores, and
+    its walk keeps only the layer range's conv maps; every deconvolution
+    starts from the unperturbed image's own trace.
     """
     metrics = tuple(metrics)
     if not metrics:
@@ -56,14 +63,16 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
     for m in metrics:
         if m not in METRICS:
             raise UsageError(f"unknown metric {m!r} (choose from {', '.join(METRICS)})")
-    original = forward(net, image, record=True)
+    if cfg.layer_range[1] > net.conv_count:
+        raise UsageError(f"layer range {cfg.layer_range} exceeds the network's {net.conv_count} conv layers")
     needs_batch = any(m in ("act-out-corr", "act-precision") for m in metrics)
-    traces: list[ActivationTrace] = []
-    if needs_batch:
-        batch = perturb_batch(image, cfg.perturbation_config())
-        traces = forward_batch(net, batch)
+    perturbation = cfg.perturbation_config() if needs_batch else None
     pcfg = cfg.precision_config()
-    scores = score_neurons(net, original, traces, pcfg, metrics)
+    original = forward(net, image)
+    batch = None
+    if needs_batch:
+        batch = forward_batch(net, perturb_batch(image, perturbation), pcfg.layers())
+    scores = score_neurons(net, original, batch, pcfg, metrics)
     ranked = {m: rank(scores, m, pcfg) for m in metrics}
     patch_sets = {m: extract_top_patches(net, original, ranked[m], image, cfg.eps)
                   for m in metrics}

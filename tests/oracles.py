@@ -85,6 +85,32 @@ def naive_maxpool(x, window, stride):
     return out, arg
 
 
+def networks_equal(a, b):
+    """Structural and bitwise weight equality of two NetworkSpecs."""
+    from patchlens.network import ConvLayer, DenseLayer, MaxPoolLayer, OutputLayer
+
+    if a.input_shape != b.input_shape or len(a.layers) != len(b.layers):
+        return False
+    for la, lb in zip(a.layers, b.layers):
+        if la.kind != lb.kind:
+            return False
+        if isinstance(la, ConvLayer):
+            if (la.stride, la.pad) != (lb.stride, lb.pad):
+                return False
+        if isinstance(la, MaxPoolLayer):
+            if (la.window, la.stride) != (lb.window, lb.stride):
+                return False
+        if isinstance(la, OutputLayer):
+            if (la.classes, la.squash) != (lb.classes, lb.squash):
+                return False
+        if isinstance(la, (ConvLayer, DenseLayer)):
+            if la.w.dtype != lb.w.dtype or la.w.shape != lb.w.shape:
+                return False
+            if not (np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)):
+                return False
+    return True
+
+
 def fsum_total(t):
     return math.fsum(np.asarray(t, dtype=np.float64).ravel().tolist())
 

@@ -20,11 +20,11 @@ from patchlens.evaluation import (
     convergence_study,
     dataset_split,
     generate_dataset,
+    harvest_patches,
     localization_study,
     spearman,
     train_secondary,
 )
-from patchlens.imageio import resize_bilinear
 from patchlens.importance import (
     ImportanceScore,
     NeuronId,
@@ -45,7 +45,7 @@ from patchlens.network import (
     train,
     TrainConfig,
 )
-from patchlens.pipeline import PipelineConfig, explain
+from patchlens.pipeline import PipelineConfig
 from patchlens.tensor import DTYPE, Rng, pearson_abs
 
 import conftest
@@ -57,7 +57,9 @@ from oracles import (
 )
 from test_importance import fake_trace
 
-REFERENCE_LR = 0.02  # must match the train subcommand default
+# The train subcommand defaults to --lr 0.05, which collapses on some small
+# sets; the gate keeps 0.02 until one shared default is chosen (ROADMAP item 2).
+REFERENCE_LR = 0.02
 EARLY_EPOCHS = (1, 2, 3, 4, 5)
 
 
@@ -250,25 +252,12 @@ def test_reference_validation_accuracy(reference_run):
 # ---------------------------------------------------------------------------
 # patch informativeness
 
-def probe_patches(net, probes, cfg, metrics):
-    """16x16 patch arrays and parent labels per metric, shared forwards."""
-    out = {m: ([], []) for m in metrics}
-    for im in probes:
-        result = explain(net, im.image, cfg, metrics=metrics)
-        for m in metrics:
-            bucket = out[m]
-            for p in result.patch_sets[m].patches:
-                bucket[0].append(resize_bilinear(p.pixels, 16, 16))
-                bucket[1].append(im.label)
-    return out
-
-
 def test_patch_classifier_accuracy(reference_run):
     cfg = reference_run["cfg"]
     probes = reference_run["probes"]
     ckpt = dict(reference_run["checkpoints"])
     metrics = ("act-out-corr", "act-precision")
-    cuts = {e: probe_patches(ckpt[e], probes, cfg, metrics)
+    cuts = {e: harvest_patches(ckpt[e], probes, cfg, metrics)
             for e in EARLY_EPOCHS + (30,)}
     votes = []
     details = []
@@ -357,8 +346,8 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_shuffled_label_null(reference_run):
     cfg = reference_run["cfg"]
-    cuts = probe_patches(reference_run["final"], reference_run["probes"], cfg,
-                         ("act-precision",))
+    cuts = harvest_patches(reference_run["final"], reference_run["probes"], cfg,
+                           ("act-precision",))
     patches, labels = cuts["act-precision"]
     labels = np.asarray(labels)
     accs = []

@@ -1,9 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
-from patchlens import deconvnet
+from patchlens import deconvnet, network
 from patchlens.cli import main
 from patchlens.imageio import write_pgm, write_ppm
 from patchlens.importance import METRICS
@@ -49,8 +50,10 @@ def test_train_layout(trained):
     assert (trained / "checkpoints" / "epoch_001.nnwc").exists()
     assert (trained / "checkpoints" / "network.manifest").exists()
     log = (trained / "train_log.tsv").read_text().strip().split("\n")
-    assert log[0] == "epoch\ttrain_acc\tval_acc"
+    assert log[0] == "epoch\ttrain_acc\tval_acc\tloss"
     assert len(log) == 2 and log[1].startswith("1\t")
+    loss = float(dict(zip(log[0].split("\t"), log[1].split("\t")))["loss"])
+    assert math.isfinite(loss) and loss > 0
     manifest = (trained / "MANIFEST.txt").read_text()
     assert manifest.startswith("run=train\n")
     assert "arg.epochs=1" in manifest
@@ -65,7 +68,7 @@ def test_train_zero_epochs(tmp_path):
     ckpts = sorted(os.listdir(tmp_path / "checkpoints"))
     assert ckpts == ["epoch_000.nnwc", "network.manifest"]
     log = (tmp_path / "train_log.tsv").read_text()
-    assert log == "epoch\ttrain_acc\tval_acc\n"
+    assert log == "epoch\ttrain_acc\tval_acc\tloss\n"
 
 
 def test_train_rerun_byte_identical(tmp_path):
@@ -203,6 +206,38 @@ def test_usage_errors(tmp_path, trained):
     assert main(["evaluate", "--checkpoints", str(trained / "checkpoints"),
                  "--data", str(trained / "dataset"), "--metrics", "act-var,act-sum,act-var",
                  "--out", str(tmp_path / "v")]) == 1
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """Counts conv forwards, one per conv layer per walked chunk."""
+    calls = []
+    real = network.conv_forward_cols
+
+    def counting(x, layer):
+        calls.append(len(x))
+        return real(x, layer)
+
+    monkeypatch.setattr(network, "conv_forward_cols", counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [
+    ["--eps", "1.5"],
+    ["--layers", "2..9"],
+    ["--top", "0"],
+    ["--n", "1"],
+    ["--sigma", "0"],
+])
+def test_bad_explain_input_fails_before_any_forward(trained, tmp_path, conv_calls, extra):
+    assert main(explain_args(trained, tmp_path, extra)) == 1
+    assert conv_calls == []
+
+
+def test_baseline_metrics_need_no_batch(trained, tmp_path, conv_calls):
+    rc = main(explain_args(trained, tmp_path, ["--metric", "act-sum,weight-var", "--n", "1"]))
+    assert rc == 0
+    assert conv_calls == [1] * 7  # the query image through the reference net's 7 convs
 
 
 def test_missing_weights_exit_code(trained, tmp_path):

@@ -223,7 +223,7 @@ def test_single_neuron_patch_fields():
     img = Rng(45, 0).uniform(0, 1, (2, 4, 4)).astype(DTYPE) + 0.0
     trace = forward(net, img)
     cfg = PrecisionConfig(n_top=1, layer_range=(1, 1))
-    scores = score_neurons(net, trace, [trace, trace], cfg, metrics=("act-sum",))
+    scores = score_neurons(net, trace, None, cfg, metrics=("act-sum",))
     rs = rank(scores, "act-sum", cfg)
     ps = extract_top_patches(net, trace, rs, img)
     assert ps.metric == "act-sum"
@@ -231,7 +231,6 @@ def test_single_neuron_patch_fields():
     p = ps.patches[0]
     assert p.metric == "act-sum"
     assert p.neuron.layer == 1
-    assert p.sample_id == trace.sample_id
 
 
 def test_identical_rankings_give_identical_patches():
@@ -239,7 +238,7 @@ def test_identical_rankings_give_identical_patches():
     img = Rng(46, 0).uniform(0, 1, (2, 4, 4)).astype(DTYPE)
     trace = forward(net, img)
     cfg = PrecisionConfig(n_top=2, layer_range=(1, 1))
-    scores = score_neurons(net, trace, [trace, trace], cfg, metrics=("act-sum", "act-var"))
+    scores = score_neurons(net, trace, None, cfg, metrics=("act-sum", "act-var"))
     ra = rank(scores, "act-sum", cfg)
     rb = rank(scores, "act-var", cfg)
     if ra.layers == {layer: picks for layer, picks in rb.layers.items()}:
@@ -255,7 +254,7 @@ def test_reference_net_full_extraction():
     img = Rng(48, 0).uniform(0, 1, (3, 32, 32)).astype(DTYPE)
     trace = forward(net, img)
     cfg = PrecisionConfig(n_top=5, layer_range=(2, 6))
-    scores = score_neurons(net, trace, [trace, trace], cfg, metrics=("act-sum",))
+    scores = score_neurons(net, trace, None, cfg, metrics=("act-sum",))
     rs = rank(scores, "act-sum", cfg)
     ps = extract_top_patches(net, trace, rs, img)
     assert len(ps.patches) + len(ps.dead) == 25

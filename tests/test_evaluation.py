@@ -7,10 +7,10 @@ from patchlens.deconvnet import Patch
 from patchlens.errors import UsageError
 from patchlens.evaluation import (
     LabeledImage,
-    build_patch_dataset,
     convergence_study,
     dataset_split,
     generate_dataset,
+    harvest_patches,
     localization_study,
     patch_localization,
     read_dataset,
@@ -146,17 +146,23 @@ def small_trained_net():
     return net, images
 
 
-def test_build_patch_dataset_bounds_and_determinism():
+def test_harvest_patches_bounds_and_determinism():
     net, images = small_trained_net()
     cfg = PipelineConfig(n=6, sigma=0.1, seed=3, n_top=2, layer_range=(2, 3))
     picked = images[:3]
-    patches, labels, failures = build_patch_dataset(picked, "act-sum", net, cfg)
-    assert len(patches) + 0 <= 3 * 2 * 2  # images x layers x N
-    assert all(p.shape == (3, 16, 16) for p in patches)
-    assert set(labels) <= {0, 1}
-    again, labels2, _ = build_patch_dataset(picked, "act-sum", net, cfg)
-    assert labels == labels2
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(patches, again))
+    metrics = ("act-sum", "act-precision")
+    first = harvest_patches(net, picked, cfg, metrics)
+    again = harvest_patches(net, picked, cfg, metrics)
+    assert sorted(first) == sorted(metrics)
+    for m in metrics:
+        patches, labels = first[m]
+        assert len(patches) == len(labels) <= 3 * 2 * 2  # images x layers x N
+        assert all(p.shape == (3, 16, 16) for p in patches)
+        assert set(labels) <= {0, 1}
+        patches2, labels2 = again[m]
+        assert labels == labels2
+        assert len(patches) == len(patches2)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(patches, patches2))
 
 
 def separable_patches(n_per_class=12):

@@ -21,6 +21,7 @@ from patchlens.importance import (
 )
 from patchlens.network import (
     ActivationTrace,
+    BatchTrace,
     ConvLayer,
     DenseLayer,
     FlattenLayer,
@@ -32,11 +33,19 @@ from patchlens.tensor import DTYPE, Rng, pearson_abs
 from oracles import fsum_total, two_pass_variance
 
 
-def fake_trace(acts_by_layer, out=(0.5, 0.5), sample_id=0):
+def fake_trace(acts_by_layer, out=(0.5, 0.5)):
     """Trace with given conv activations and output vector; no switches."""
     conv_acts = {layer: np.asarray(a, dtype=DTYPE) for layer, a in acts_by_layer.items()}
     out = np.asarray(out, dtype=DTYPE)
-    return ActivationTrace(sample_id, conv_acts, {}, out, int(np.argmax(out)), float(out.max()))
+    return ActivationTrace(conv_acts, {}, out, int(np.argmax(out)), float(out.max()))
+
+
+def fake_batch(maps, outs=None):
+    """Layer-1 batch record of the given per-sample [C, H, W] maps and
+    output vectors (0.5 each when not given)."""
+    maps = np.asarray(maps, dtype=DTYPE)
+    outs = np.full((len(maps), 2), 0.5) if outs is None else outs
+    return BatchTrace({1: maps}, np.asarray(outs, dtype=DTYPE))
 
 
 def two_conv_net(w2):
@@ -136,32 +145,31 @@ def test_weight_metrics_last_conv_degenerate():
 # correlation
 
 def corr_batch(sums, outs):
-    """One-cell traces with the given per-sample activation sums/outputs."""
-    return [fake_trace({1: [[[s]]]}, out=(1 - o, o), sample_id=i)
-            for i, (s, o) in enumerate(zip(sums, outs))]
+    """One-cell batch with the given per-sample activation sums/outputs."""
+    return fake_batch([[[[s]]] for s in sums], [(1 - o, o) for o in outs])
 
 
 def test_correlation_dead_neuron_degenerate():
-    traces = corr_batch([2.0] * 5, [0.1, 0.2, 0.3, 0.4, 0.5])
-    s = score_correlation(traces, NeuronId(1, 0), ref_class=1)
+    batch = corr_batch([2.0] * 5, [0.1, 0.2, 0.3, 0.4, 0.5])
+    s = score_correlation(batch, NeuronId(1, 0), ref_class=1)
     assert s.degenerate and s.value == 0.0
 
 
 def test_correlation_affine_dependence():
     outs = [0.1, 0.3, 0.5, 0.7]
     sums = [2 * o + 3 for o in outs]
-    traces = corr_batch(sums, outs)
-    s = score_correlation(traces, NeuronId(1, 0), ref_class=1)
+    batch = corr_batch(sums, outs)
+    s = score_correlation(batch, NeuronId(1, 0), ref_class=1)
     assert s.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_correlation_matches_pearson_oracle():
-    # traces store binary32, so round the oracle's inputs the same way
+    # batch records store binary32, so round the oracle's inputs the same way
     r = Rng(34, 0)
     sums = np.asarray(r.uniform(0, 1, (50,)), dtype=DTYPE).tolist()
     outs = np.asarray(r.split(1).uniform(0, 1, (50,)), dtype=DTYPE).tolist()
-    traces = corr_batch(sums, outs)
-    got = score_correlation(traces, NeuronId(1, 0), ref_class=1).value
+    batch = corr_batch(sums, outs)
+    got = score_correlation(batch, NeuronId(1, 0), ref_class=1).value
     assert got == pytest.approx(pearson_abs(sums, outs), abs=1e-12)
 
 
@@ -185,26 +193,22 @@ def test_correlation_scale_invariances(a, b_num, c):
 # ---------------------------------------------------------------------------
 # precision
 
-def prec_batch(maps):
-    return [fake_trace({1: m}, sample_id=i) for i, m in enumerate(maps)]
-
-
 def test_precision_below_lambda_degenerate():
-    traces = prec_batch([np.full((1, 2, 2), 1e-5), np.full((1, 2, 2), 2e-5)])
-    s = score_precision(traces, NeuronId(1, 0), PrecisionConfig())
+    batch = fake_batch([np.full((1, 2, 2), 1e-5), np.full((1, 2, 2), 2e-5)])
+    s = score_precision(batch, NeuronId(1, 0), PrecisionConfig())
     assert s.degenerate and s.value == 0.0
 
 
 def test_precision_hand():
-    traces = prec_batch([[[[0.5]]], [[[1.5]]]])
-    s = score_precision(traces, NeuronId(1, 0), PrecisionConfig())
+    batch = fake_batch([[[[0.5]]], [[[1.5]]]])
+    s = score_precision(batch, NeuronId(1, 0), PrecisionConfig())
     assert s.value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_precision_matches_brute_force():
     r = Rng(36, 0)
     maps = [r.split(i).uniform(0, 1, (1, 3, 3)).astype(DTYPE) + 0.05 for i in range(50)]
-    got = score_precision(prec_batch(maps), NeuronId(1, 0), PrecisionConfig()).value
+    got = score_precision(fake_batch(maps), NeuronId(1, 0), PrecisionConfig()).value
     stack = np.stack([m[0].astype(np.float64) for m in maps])
     recips = []
     for rr in range(3):
@@ -218,14 +222,14 @@ def test_precision_matches_brute_force():
 def test_precision_shift_invariant():
     r = Rng(37, 0)
     maps = [r.split(i).uniform(0, 1, (1, 2, 2)).astype(np.float64) + 0.1 for i in range(10)]
-    base = score_precision(prec_batch(maps), NeuronId(1, 0), PrecisionConfig()).value
-    shifted = score_precision(prec_batch([m + 0.7 for m in maps]), NeuronId(1, 0), PrecisionConfig()).value
+    base = score_precision(fake_batch(maps), NeuronId(1, 0), PrecisionConfig()).value
+    shifted = score_precision(fake_batch([m + 0.7 for m in maps]), NeuronId(1, 0), PrecisionConfig()).value
     assert shifted == pytest.approx(base, rel=1e-6)
 
 
 def test_precision_zero_variance_capped():
-    traces = prec_batch([np.full((1, 2, 2), 0.5)] * 4)
-    s = score_precision(traces, NeuronId(1, 0), PrecisionConfig())
+    batch = fake_batch([np.full((1, 2, 2), 0.5)] * 4)
+    s = score_precision(batch, NeuronId(1, 0), PrecisionConfig())
     assert s.value == pytest.approx(1e12, rel=1e-9)
     assert not s.degenerate
 
@@ -334,10 +338,10 @@ def test_score_neurons_covers_range_and_is_deterministic():
     net = two_conv_net(w2)
     img = r.split(1).uniform(0, 1, (1, 4, 4)).astype(DTYPE)
     original = forward(net, img)
-    traces = forward_batch(net, perturb_batch(img, PerturbationConfig(n=8, sigma=0.1)))
     cfg = PrecisionConfig(layer_range=(1, 2))
-    a = score_neurons(net, original, traces, cfg)
-    b = score_neurons(net, original, traces, cfg)
+    batch = forward_batch(net, perturb_batch(img, PerturbationConfig(n=8, sigma=0.1)), cfg.layers())
+    a = score_neurons(net, original, batch, cfg)
+    b = score_neurons(net, original, batch, cfg)
     assert a == b  # bitwise: frozen dataclasses with float fields
     per_metric = {m: sum(1 for s in a if s.metric == m) for m in METRICS}
     assert all(count == 2 + 3 for count in per_metric.values())
@@ -346,8 +350,9 @@ def test_score_neurons_covers_range_and_is_deterministic():
 def test_score_neurons_range_checked():
     net = two_conv_net(np.ones((2, 2, 1, 1)))
     t = fake_trace({1: np.zeros((2, 4, 4)), 2: np.zeros((2, 4, 4))})
+    batch = BatchTrace({1: np.zeros((2, 2, 4, 4)), 2: np.zeros((2, 2, 4, 4))}, np.full((2, 2), 0.5))
     with pytest.raises(UsageError):
-        score_neurons(net, t, [t, t], PrecisionConfig(layer_range=(1, 5)))
+        score_neurons(net, t, batch, PrecisionConfig(layer_range=(1, 5)))
 
 
 def test_score_dump_layout():

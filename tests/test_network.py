@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchlens.errors import DataFormatError, NumericError
+from patchlens.errors import DataFormatError, NumericError, UsageError
 from patchlens.network import (
     ConvLayer,
     DenseLayer,
@@ -23,7 +23,6 @@ from patchlens.network import (
     load_weights,
     loss_gradients,
     maxpool_forward,
-    networks_equal,
     reference_network,
     save_weights,
     softmax,
@@ -31,7 +30,7 @@ from patchlens.network import (
 )
 from patchlens.tensor import DTYPE, Rng
 from oracles import (naive_conv, naive_conv_input_grad, naive_conv_param_grad,
-                     naive_maxpool, run_gradcheck)
+                     naive_maxpool, networks_equal, run_gradcheck)
 
 
 def tiny_head(in_features, classes=2):
@@ -138,19 +137,35 @@ def test_batch_of_one_equals_forward():
     net = random_small_net()
     img = Rng(7, 0).uniform(0, 1, (1, 8, 8)).astype(DTYPE)
     solo = forward(net, img)
-    batch = forward_batch(net, [img])
-    assert len(batch) == 1
-    assert np.array_equal(batch[0].output, solo.output)
-    assert np.array_equal(batch[0].conv_acts[1], solo.conv_acts[1])
+    batch = forward_batch(net, [img], (1,))
+    assert batch.output.shape == (1, 2)
+    assert np.array_equal(batch.output[0], solo.output)
+    assert np.array_equal(batch.conv_acts[1][0], solo.conv_acts[1])
 
 
 def test_duplicated_image_identical_traces():
     net = random_small_net()
     img = Rng(8, 0).uniform(0, 1, (1, 8, 8)).astype(DTYPE)
-    traces = forward_batch(net, [img] * 3)
-    for t in traces[1:]:
-        assert np.array_equal(t.output, traces[0].output)
-        assert np.array_equal(t.conv_acts[1], traces[0].conv_acts[1])
+    batch = forward_batch(net, [img] * 3, (1,))
+    for i in (1, 2):
+        assert np.array_equal(batch.output[i], batch.output[0])
+        assert np.array_equal(batch.conv_acts[1][i], batch.conv_acts[1][0])
+
+
+# N = 1, 7, 8 and 11 sit on either side of the walk's 8-image chunk edge
+@pytest.mark.parametrize("n", [1, 7, 8, 11])
+def test_batch_matches_per_image_forward(n):
+    net = reference_network(Rng(21, 0))
+    images = Rng(22, n).uniform(0, 1, (n, 3, 32, 32)).astype(DTYPE)
+    batch = forward_batch(net, images, range(2, 7))
+    assert sorted(batch.conv_acts) == [2, 3, 4, 5, 6]
+    assert batch.output.shape == (n, 2)
+    for i, image in enumerate(images):
+        solo = forward(net, image)
+        for k, maps in batch.conv_acts.items():
+            assert maps.shape == (n,) + solo.conv_acts[k].shape
+            assert np.array_equal(maps[i], solo.conv_acts[k])
+        assert np.max(np.abs(batch.output[i] - solo.output)) <= 2.0 ** -22
 
 
 def test_batch_error_names_sample():
@@ -158,7 +173,24 @@ def test_batch_error_names_sample():
     good = np.zeros((1, 8, 8), dtype=DTYPE)
     bad = np.zeros((1, 4, 4), dtype=DTYPE)
     with pytest.raises(DataFormatError, match="sample 1"):
-        forward_batch(net, [good, bad])
+        forward_batch(net, [good, bad], (1,))
+
+
+def test_batch_nonfinite_output_names_sample():
+    big = np.full((2, 64), 3e38, dtype=DTYPE)
+    net = NetworkSpec((1, 8, 8), [
+        FlattenLayer(), DenseLayer(big, np.zeros(2, dtype=DTYPE)), OutputLayer(2),
+    ])
+    images = np.zeros((10, 1, 8, 8), dtype=DTYPE)
+    images[9] = 1.0  # in the second chunk
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="sample 9"):
+        forward_batch(net, images, ())
+
+
+def test_batch_rejects_layer_outside_network():
+    net = random_small_net()
+    with pytest.raises(UsageError):
+        forward_batch(net, [np.zeros((1, 8, 8), dtype=DTYPE)], (2,))
 
 
 # ---------------------------------------------------------------------------
