@@ -176,6 +176,7 @@ def cmd_explain(args) -> None:
     ranked_rows = ["metric\tlayer\trank\tchannel\tvalue"]
     patch_rows = ["metric\tlayer\trank\tchannel\ttop\tleft\theight\twidth"]
     value_of = {(s.metric, s.neuron): s.value for s in result.scores}
+    patch_sets = {}
     for metric in metrics:
         per_metric = [s for s in result.scores if s.metric == metric]
         with open(os.path.join(out, f"scores_{metric}.tsv"), "w") as fh:
@@ -189,7 +190,7 @@ def cmd_explain(args) -> None:
                                    f"\t{_fmt(value_of[(metric, neuron)])}")
         for layer, missing in sorted(ranked.shortfalls.items()):
             notes.append(f"{metric}: layer {layer} short {missing} of {cfg.n_top} neurons")
-        patch_set = result.patch_sets[metric]
+        patch_set = patch_sets[metric] = result.patches(metric)
         if not patch_set.patches:
             notes.append(f"{metric}: no live patches (degenerate result)")
         # numbered by the neuron's rank in ranked.tsv, so a dead
@@ -213,7 +214,7 @@ def cmd_explain(args) -> None:
     if mask is not None:
         loc_rows = ["metric\tratio\tpatches\thits"]
         for metric in metrics:
-            patches = result.patch_sets[metric].patches
+            patches = patch_sets[metric].patches
             if patches:
                 ratio = patch_localization(patches, mask)
                 hits = round(ratio * len(patches))

@@ -1,10 +1,11 @@
-"""Reverse pass from one conv channel back to pixel space, and patch cutting.
+"""Reverse pass from conv channels back to pixel space, and patch cutting.
 
 Starting from the recorded activation of a chosen channel (all sibling
 channels zeroed), the walk back to the input applies, per layer passed on
 the way down: unpool (values return to their recorded switch locations),
 rectify (negatives clamped to zero), and filter (convolution with the
-transposed kernels, no bias). The reconstruction's high-magnitude region
+transposed kernels, no bias). The chosen channels of one layer walk back
+together, one row per channel. The reconstruction's high-magnitude region
 then selects a rectangular crop of the original image.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DataFormatError, DeadPathError, UsageError
 from .importance import NeuronId, RankedSet
-from .network import (ActivationTrace, ConvLayer, FlattenLayer, MaxPoolLayer,
+from .network import (_CHUNK, ActivationTrace, ConvLayer, MaxPoolLayer,
                       NetworkSpec, ReluLayer, conv_input_grad)
 from .tensor import ensure_finite
 
@@ -42,50 +43,73 @@ class PatchSet:
 
 
 def unpool(pooled: np.ndarray, switches: np.ndarray, pre_shape) -> np.ndarray:
-    """Scatter pooled values to their recorded argmax cells, zeros elsewhere."""
+    """Scatter pooled values to their recorded argmax cells, zeros elsewhere.
+
+    pooled is [C, h, w] or a stack [..., C, h, w] that shares one [C, h, w]
+    switch tensor; the result has the same leading axes over pre_shape.
+    """
     c, h, w = pre_shape
-    if pooled.shape != switches.shape:
+    if pooled.shape[-3:] != switches.shape:
         raise UsageError(f"pooled shape {pooled.shape} does not match switches {switches.shape}")
     flat_idx = switches.reshape(c, -1)
     if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= h * w):
         raise DataFormatError(f"switch index outside pre-pool plane of {h}x{w}")
-    out = np.zeros((c, h * w), dtype=pooled.dtype)
-    out[np.arange(c)[:, None], flat_idx] = pooled.reshape(c, -1)
-    return out.reshape(c, h, w)
+    lead = pooled.shape[:-3]
+    values = pooled.reshape((-1,) + flat_idx.shape)
+    out = np.zeros((len(values), c, h * w), dtype=pooled.dtype)
+    out[:, np.arange(c)[:, None], flat_idx] = values
+    return out.reshape(lead + (c, h, w))
+
+
+def deconvolve_channels(net: NetworkSpec, trace: ActivationTrace, layer: int,
+                        channels) -> np.ndarray:
+    """[K, C, H, W] input-shaped reconstructions of K channels of one conv
+    layer, walked back together in stacks of network._CHUNK.
+
+    Row k is the reconstruction of channels[k] alone: the walk keeps one
+    signal per channel, and every step treats the rows independently.
+    """
+    if not 1 <= layer <= net.conv_count:
+        raise UsageError(f"conv layer index {layer} outside 1..{net.conv_count}")
+    acts = trace.conv_acts.get(layer)
+    if acts is None:
+        raise UsageError(f"trace has no recorded activations for conv layer {layer}")
+    channels = np.asarray(channels, dtype=np.intp)
+    for ch in channels.tolist():
+        if not 0 <= ch < acts.shape[0]:
+            raise UsageError(f"channel {ch} outside layer {layer}'s {acts.shape[0]} channels")
+
+    # The recorded activation sits after the conv's relu when one follows.
+    start = net.conv_position(layer)
+    if start + 1 < len(net.layers) and isinstance(net.layers[start + 1], ReluLayer):
+        start += 1
+
+    out = np.empty((len(channels),) + net.input_shape, dtype=acts.dtype)
+    for c0 in range(0, len(channels), _CHUNK):
+        chunk = channels[c0:c0 + _CHUNK]
+        signal = np.zeros((len(chunk),) + acts.shape, dtype=acts.dtype)
+        signal[np.arange(len(chunk)), chunk] = acts[chunk]
+        for pos in range(start, -1, -1):
+            below = net.layers[pos]
+            if isinstance(below, ConvLayer):
+                signal = conv_input_grad(signal, below, (len(chunk),) + tuple(net.in_shapes[pos]))
+            elif isinstance(below, ReluLayer):
+                signal = np.maximum(signal, 0)
+            elif isinstance(below, MaxPoolLayer):
+                switches = trace.switches.get(pos)
+                if switches is None:
+                    raise UsageError(f"trace has no switches for the pool at layer position {pos}")
+                signal = unpool(signal, switches, net.in_shapes[pos])
+            else:
+                raise UsageError(f"cannot reverse through a {below.kind} layer below conv {layer}")
+        ensure_finite(signal, "deconvolution reconstruction")
+        out[c0:c0 + len(chunk)] = signal
+    return out
 
 
 def deconvolve(net: NetworkSpec, trace: ActivationTrace, neuron: NeuronId) -> np.ndarray:
     """Input-shaped reconstruction of one channel's recorded activation."""
-    if not 1 <= neuron.layer <= net.conv_count:
-        raise UsageError(f"conv layer index {neuron.layer} outside 1..{net.conv_count}")
-    acts = trace.conv_acts.get(neuron.layer)
-    if acts is None:
-        raise UsageError(f"trace has no recorded activations for conv layer {neuron.layer}")
-    if not 0 <= neuron.channel < acts.shape[0]:
-        raise UsageError(f"channel {neuron.channel} outside layer {neuron.layer}'s {acts.shape[0]} channels")
-    signal = np.zeros_like(acts)
-    signal[neuron.channel] = acts[neuron.channel]
-
-    # The recorded activation sits after the conv's relu when one follows.
-    start = net.conv_position(neuron.layer)
-    if start + 1 < len(net.layers) and isinstance(net.layers[start + 1], ReluLayer):
-        start += 1
-
-    for pos in range(start, -1, -1):
-        layer = net.layers[pos]
-        if isinstance(layer, ConvLayer):
-            signal = conv_input_grad(signal[None], layer, (1,) + tuple(net.in_shapes[pos]))[0]
-        elif isinstance(layer, ReluLayer):
-            signal = np.maximum(signal, 0)
-        elif isinstance(layer, MaxPoolLayer):
-            switches = trace.switches.get(pos)
-            if switches is None:
-                raise UsageError(f"trace has no switches for the pool at layer position {pos}")
-            signal = unpool(signal, switches, net.in_shapes[pos])
-        else:
-            raise UsageError(f"cannot reverse through a {layer.kind} layer below conv {neuron.layer}")
-    ensure_finite(signal, "deconvolution reconstruction")
-    return signal
+    return deconvolve_channels(net, trace, neuron.layer, [neuron.channel])[0]
 
 
 def extract_patch(image: np.ndarray, reconstruction: np.ndarray, neuron: NeuronId,
@@ -112,15 +136,25 @@ def extract_patch(image: np.ndarray, reconstruction: np.ndarray, neuron: NeuronI
 
 
 def extract_top_patches(net: NetworkSpec, trace: ActivationTrace, ranked: RankedSet,
-                        image: np.ndarray, eps: float = 0.1) -> PatchSet:
+                        image: np.ndarray, eps: float = 0.1,
+                        reconstructions: dict | None = None) -> PatchSet:
     """One patch per ranked neuron, deconvolved from the query image's own
-    trace (the perturbation batch only ever influences the ranking)."""
+    trace (the perturbation batch only ever influences the ranking).
+
+    reconstructions caches NeuronId -> reconstruction for this trace: each
+    layer's missing neurons are walked back as one batch and added to it,
+    so repeated cuts from one trace deconvolve each neuron once.
+    """
+    cache = {} if reconstructions is None else reconstructions
     out = PatchSet(ranked.metric)
     for layer in sorted(ranked.layers):
+        missing = [n.channel for n in ranked.layers[layer] if n not in cache]
+        if missing:
+            for ch, rec in zip(missing, deconvolve_channels(net, trace, layer, missing)):
+                cache[NeuronId(layer, ch)] = rec
         for neuron in ranked.layers[layer]:
-            reconstruction = deconvolve(net, trace, neuron)
             try:
-                patch = extract_patch(image, reconstruction, neuron, eps, metric=ranked.metric)
+                patch = extract_patch(image, cache[neuron], neuron, eps, metric=ranked.metric)
             except DeadPathError:
                 out.dead.append(neuron)
                 continue

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deconvnet import extract_top_patches
 from .errors import DataFormatError, UsageError
 from .imageio import read_pgm, read_ppm, resize_bilinear, write_pgm, write_ppm
-from .importance import METRICS, PrecisionConfig, jaccard, rank
+from .importance import METRICS, jaccard
 from .network import (ConvLayer, DenseLayer, FlattenLayer, MaxPoolLayer,
                       NetworkSpec, OutputLayer, ReluLayer, TrainConfig,
                       _he_conv, _he_dense, evaluate_accuracy, train)
@@ -207,9 +206,10 @@ def harvest_patches(net: NetworkSpec, images: list[LabeledImage], cfg: PipelineC
     image's label."""
     out = {m: ([], []) for m in metrics}
     for im in images:
-        for m, patch_set in explain(net, im.image, cfg, metrics=metrics).patch_sets.items():
+        result = explain(net, im.image, cfg, metrics=metrics)
+        for m in metrics:
             patches, labels = out[m]
-            for p in patch_set.patches:
+            for p in result.patches(m).patches:
                 patches.append(resize_bilinear(p.pixels, 16, 16))
                 labels.append(im.label)
     return out
@@ -251,8 +251,10 @@ def localization_study(net: NetworkSpec, positives: list[LabeledImage],
                        cfg: PipelineConfig, metrics=METRICS, n_tops=(5, 20)):
     """Pooled localization ratio per (metric, top-N) over masked positives.
 
-    Scores each image once and re-ranks per top-N, so the expensive
-    perturbation forward passes are shared.
+    Scores each image once and cuts every top-N from that one explanation,
+    so the perturbation forward passes are shared. The largest N is cut
+    first: a smaller top-N is a prefix of it, so its neurons are already
+    deconvolved.
     Returns rows of (metric, n_top, ratio, total_patches, hits).
     """
     if not positives:
@@ -262,12 +264,9 @@ def localization_study(net: NetworkSpec, positives: list[LabeledImage],
         if im.mask is None:
             raise UsageError(f"image {im.name or '?'} has no mask")
         result = explain(net, im.image, cfg, metrics=metrics)
-        for n in n_tops:
-            pcfg = PrecisionConfig(cfg.lambda_threshold, n, cfg.layer_range)
+        for n in sorted(n_tops, reverse=True):
             for m in metrics:
-                ranked = rank(result.scores, m, pcfg)
-                cut = extract_top_patches(net, result.original, ranked, im.image, cfg.eps)
-                for p in cut.patches:
+                for p in result.patches(m, n).patches:
                     top, left, height, width = p.bbox
                     hit = int(im.mask[top:top + height, left:left + width].any())
                     totals[(m, n)][0] += hit
@@ -306,7 +305,8 @@ def convergence_study(checkpoints, probes: list[LabeledImage], val_images, val_l
     that checkpoint's patches. The Jaccard trajectory reads on the probes;
     the classifiers train on patches from patch_images when given (the
     probes otherwise), so the agreement probes can be all one class while
-    the patch set stays balanced. The secondary rng derivation depends only
+    the patch set stays balanced. The probe explains read only the
+    rankings, so they deconvolve nothing. The secondary rng derivation depends only
     on rng, never the epoch tag, so equal checkpoints yield equal points.
     Pass secondary_epochs=0 to skip the classifiers (accuracy NaN).
     """

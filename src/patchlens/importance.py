@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCorrelationError, UsageError
+from .errors import UsageError
 from .network import ActivationTrace, BatchTrace, NetworkSpec
-from .tensor import pearson_abs, tensor_sum, variance
+from .tensor import pearson_abs_columns, tensor_sum, variance
 
 METRICS = ("act-sum", "act-var", "weight-sum", "weight-var", "act-out-corr", "act-precision")
 
@@ -72,83 +72,89 @@ class RankedSet:
         return frozenset(n for picks in self.layers.values() for n in picks)
 
 
-def _activation(trace: ActivationTrace | BatchTrace, neuron: NeuronId) -> np.ndarray:
-    """The neuron's recorded map: [H, W] from one trace, [N, H, W] from a batch."""
+def _activation(trace: ActivationTrace | BatchTrace, layer: int) -> np.ndarray:
+    """The layer's recorded maps: [C, H, W] from one trace, [N, C, H, W] from a batch."""
     try:
-        acts = trace.conv_acts[neuron.layer]
+        return trace.conv_acts[layer]
     except KeyError:
-        raise UsageError(f"trace has no recorded activations for conv layer {neuron.layer}") from None
-    channels = acts.shape[-3]
-    if not 0 <= neuron.channel < channels:
-        raise UsageError(f"channel {neuron.channel} outside layer {neuron.layer}'s {channels} channels")
-    return acts[..., neuron.channel, :, :]
+        raise UsageError(f"trace has no recorded activations for conv layer {layer}") from None
 
 
-def score_act_sum(trace: ActivationTrace, neuron: NeuronId) -> ImportanceScore:
-    return ImportanceScore(neuron, "act-sum", tensor_sum(_activation(trace, neuron)))
+def _layer_scores(layer: int, metric: str, values, degenerate=None) -> list[ImportanceScore]:
+    """One score per channel; degenerate channels read 0.0."""
+    values = np.asarray(values, dtype=np.float64)
+    if degenerate is None:
+        degenerate = np.zeros(len(values), dtype=bool)
+    values = np.where(degenerate, 0.0, values).tolist()
+    return [ImportanceScore(NeuronId(layer, c), metric, v, bool(d))
+            for c, (v, d) in enumerate(zip(values, degenerate))]
 
 
-def score_act_var(trace: ActivationTrace, neuron: NeuronId) -> ImportanceScore:
-    return ImportanceScore(neuron, "act-var", variance(_activation(trace, neuron)))
+def score_act_sum(trace: ActivationTrace, layer: int) -> list[ImportanceScore]:
+    return _layer_scores(layer, "act-sum", tensor_sum(_activation(trace, layer), axis=(1, 2)))
 
 
-def _next_conv_slice(net: NetworkSpec, neuron: NeuronId):
-    """Weights of conv layer l+1 that read channel c of layer l, or None."""
-    if neuron.layer + 1 > net.conv_count:
-        return None
-    nxt = net.conv_layer(neuron.layer + 1)
-    if neuron.channel >= nxt.w.shape[1]:
-        return None
-    return nxt.w[:, neuron.channel, :, :]
+def score_act_var(trace: ActivationTrace, layer: int) -> list[ImportanceScore]:
+    return _layer_scores(layer, "act-var", variance(_activation(trace, layer), axis=(1, 2)))
 
 
-def score_weight_sum(net: NetworkSpec, neuron: NeuronId) -> ImportanceScore:
-    sl = _next_conv_slice(net, neuron)
-    if sl is None:
-        return ImportanceScore(neuron, "weight-sum", 0.0, degenerate=True)
-    return ImportanceScore(neuron, "weight-sum", tensor_sum(sl))
+def _weight_scores(net: NetworkSpec, layer: int, metric: str, stat) -> list[ImportanceScore]:
+    """stat over the weights of conv layer l+1 that read each channel of
+    layer l; every channel is degenerate on the last conv layer."""
+    channels = net.conv_out_channels(layer)
+    if layer == net.conv_count:
+        return _layer_scores(layer, metric, np.zeros(channels), np.ones(channels, dtype=bool))
+    # [C, O, kh, kw], contiguous per channel so each slice sums in its own cell order
+    slices = np.ascontiguousarray(net.conv_layer(layer + 1).w.transpose(1, 0, 2, 3))
+    return _layer_scores(layer, metric, stat(slices, axis=(1, 2, 3)))
 
 
-def score_weight_var(net: NetworkSpec, neuron: NeuronId) -> ImportanceScore:
-    sl = _next_conv_slice(net, neuron)
-    if sl is None:
-        return ImportanceScore(neuron, "weight-var", 0.0, degenerate=True)
-    return ImportanceScore(neuron, "weight-var", variance(sl))
+def score_weight_sum(net: NetworkSpec, layer: int) -> list[ImportanceScore]:
+    return _weight_scores(net, layer, "weight-sum", tensor_sum)
 
 
-def score_correlation(batch: BatchTrace, neuron: NeuronId,
-                      ref_class: int) -> ImportanceScore:
+def score_weight_var(net: NetworkSpec, layer: int) -> list[ImportanceScore]:
+    return _weight_scores(net, layer, "weight-var", variance)
+
+
+def score_correlation(batch: BatchTrace, layer: int, ref_class: int) -> list[ImportanceScore]:
     """|Pearson r| between per-sample activation sum and the probability the
     network assigns to ref_class (the original image's predicted class)."""
-    maps = _activation(batch, neuron)
+    maps = _activation(batch, layer)
     if len(maps) < 2:
         raise UsageError("correlation needs a batch of at least 2 samples")
-    sums = [tensor_sum(m) for m in maps]
-    outs = batch.output[:, ref_class]
-    try:
-        value = pearson_abs(sums, outs)
-    except DegenerateCorrelationError:
-        return ImportanceScore(neuron, "act-out-corr", 0.0, degenerate=True)
-    return ImportanceScore(neuron, "act-out-corr", value)
+    r = pearson_abs_columns(tensor_sum(maps, axis=(2, 3)), batch.output[:, ref_class])
+    return _layer_scores(layer, "act-out-corr", r, np.isnan(r))
 
 
-def score_precision(batch: BatchTrace, neuron: NeuronId,
-                    cfg: PrecisionConfig) -> ImportanceScore:
+# Channels scored together in precision; each block's float64 copy of the
+# batch maps stays within about this many bytes.
+_PRECISION_BLOCK_BYTES = 1 << 20
+
+
+def score_precision(batch: BatchTrace, layer: int, cfg: PrecisionConfig) -> list[ImportanceScore]:
     """Mean over cells of 1 / Var_i(cell), Var floored at 1e-12.
 
     Channels whose mean absolute activation over the whole batch falls below
     lambda are degenerate: a dead channel is perfectly stable, and the floor
     would otherwise rank it at the top.
     """
-    maps = _activation(batch, neuron)
-    if len(maps) < 2:
+    maps = _activation(batch, layer)
+    n, channels = maps.shape[:2]
+    if n < 2:
         raise UsageError("precision needs a batch of at least 2 samples")
-    stack = maps.astype(np.float64)
-    if float(np.mean(np.abs(stack))) < cfg.lambda_threshold:
-        return ImportanceScore(neuron, "act-precision", 0.0, degenerate=True)
-    cell_var = stack.var(axis=0)
-    value = float(np.mean(1.0 / np.maximum(cell_var, _VAR_FLOOR)))
-    return ImportanceScore(neuron, "act-precision", value)
+    block = max(1, _PRECISION_BLOCK_BYTES // (8 * maps[:, 0].size))
+    mean_abs, values = [], []
+    for c0 in range(0, channels, block):
+        # [b, N, H, W]: each channel's cells contiguous, in the order its
+        # own [N, H, W] stack would sum them
+        stack = np.ascontiguousarray(maps[:, c0:c0 + block].transpose(1, 0, 2, 3), dtype=np.float64)
+        b = len(stack)
+        mean_abs.append(np.abs(stack).reshape(b, -1).mean(axis=1))
+        cell_var = variance(stack, axis=1)
+        values.append((1.0 / np.maximum(cell_var, _VAR_FLOOR)).reshape(b, -1).mean(axis=1))
+    return _layer_scores(layer, "act-precision", np.concatenate(values),
+                         np.concatenate(mean_abs) < cfg.lambda_threshold)
 
 
 def score_neurons(net: NetworkSpec, original: ActivationTrace,
@@ -159,7 +165,7 @@ def score_neurons(net: NetworkSpec, original: ActivationTrace,
     Baselines read the original image's trace; batch metrics read the
     perturbation batch's record (None when no batch metric is selected),
     with the correlation's output column fixed to the class predicted for
-    the original image.
+    the original image. Scores come in (metric, layer, channel) order.
     """
     lo, hi = cfg.layer_range
     if hi > net.conv_count:
@@ -169,20 +175,18 @@ def score_neurons(net: NetworkSpec, original: ActivationTrace,
         if metric not in METRICS:
             raise UsageError(f"unknown metric {metric!r}")
         for layer in cfg.layers():
-            for channel in range(net.conv_out_channels(layer)):
-                neuron = NeuronId(layer, channel)
-                if metric == "act-sum":
-                    scores.append(score_act_sum(original, neuron))
-                elif metric == "act-var":
-                    scores.append(score_act_var(original, neuron))
-                elif metric == "weight-sum":
-                    scores.append(score_weight_sum(net, neuron))
-                elif metric == "weight-var":
-                    scores.append(score_weight_var(net, neuron))
-                elif metric == "act-out-corr":
-                    scores.append(score_correlation(batch, neuron, original.predicted_class))
-                elif metric == "act-precision":
-                    scores.append(score_precision(batch, neuron, cfg))
+            if metric == "act-sum":
+                scores += score_act_sum(original, layer)
+            elif metric == "act-var":
+                scores += score_act_var(original, layer)
+            elif metric == "weight-sum":
+                scores += score_weight_sum(net, layer)
+            elif metric == "weight-var":
+                scores += score_weight_var(net, layer)
+            elif metric == "act-out-corr":
+                scores += score_correlation(batch, layer, original.predicted_class)
+            elif metric == "act-precision":
+                scores += score_precision(batch, layer, cfg)
     return scores
 
 

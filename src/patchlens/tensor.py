@@ -73,19 +73,53 @@ def gaussian_sample(rng: Rng, mean: float, stddev: float, shape) -> np.ndarray:
     return rng.normal(mean, stddev, shape)
 
 
-def tensor_sum(t: np.ndarray) -> float:
-    """Sum over all cells, accumulated in float64."""
-    return float(np.sum(t, dtype=np.float64))
+def tensor_sum(t: np.ndarray, axis=None):
+    """Sum over all cells, or an array of sums over the given axes,
+    accumulated in float64."""
+    total = np.sum(t, axis=axis, dtype=np.float64)
+    return float(total) if axis is None else total
 
 
-def variance(t: np.ndarray) -> float:
-    """Population variance over all cells (two-pass, float64 accumulation)."""
-    flat = np.asarray(t, dtype=np.float64).ravel()
-    if flat.size == 0:
+def variance(t: np.ndarray, axis=None):
+    """Population variance (two-pass, float64 accumulation) over all cells,
+    or an array of variances over the given axes.
+
+    A per-index variance over contiguous trailing axes sums its cells in the
+    same order as the variance of that index's slice alone.
+    """
+    a = np.asarray(t, dtype=np.float64)
+    if a.size == 0:
         raise ValueError("variance of an empty tensor is undefined")
-    mean = flat.mean()
-    dev = flat - mean
-    return float(np.mean(dev * dev))
+    if axis is None:
+        a = a.ravel()
+    dev = a - a.mean(axis=axis, keepdims=True)
+    dev *= dev
+    v = np.mean(dev, axis=axis)
+    return float(v) if axis is None else v
+
+
+def pearson_abs_columns(x, y) -> np.ndarray:
+    """|Pearson r| between each column of x [N, K] and y [N], in [0, 1].
+
+    A column is NaN when it or y is constant. Each column's means and dot
+    products are those of the column alone, so the result matches
+    pearson_abs on every column bit for bit.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64).ravel()
+    if xa.ndim != 2 or xa.shape[0] != ya.size:
+        raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.size}")
+    if ya.size < 2:
+        raise ValueError("correlation needs at least two points")
+    rows = np.ascontiguousarray(xa.T)  # one contiguous row per column
+    dx = rows - rows.mean(axis=1, keepdims=True)
+    dy = ya - ya.mean()
+    sxx = np.vecdot(dx, dx)
+    syy = float(np.dot(dy, dy))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(np.vecdot(dx, dy) / np.sqrt(sxx * syy))
+    r[(sxx == 0.0) | (syy == 0.0)] = np.nan
+    return np.minimum(r, 1.0)
 
 
 def pearson_abs(x, y) -> float:
@@ -94,20 +128,10 @@ def pearson_abs(x, y) -> float:
     Raises DegenerateCorrelationError when either sequence is constant;
     callers decide how degenerate neurons rank.
     """
-    xa = np.asarray(x, dtype=np.float64).ravel()
-    ya = np.asarray(y, dtype=np.float64).ravel()
-    if xa.shape != ya.shape:
-        raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
-    if xa.size < 2:
-        raise ValueError("correlation needs at least two points")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    if sxx == 0.0 or syy == 0.0:
+    r = float(pearson_abs_columns(np.ravel(x)[:, None], y)[0])
+    if math.isnan(r):
         raise DegenerateCorrelationError("zero-variance sequence in correlation")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
-    return min(abs(r), 1.0)
+    return r
 
 
 def ensure_finite(arr: np.ndarray, context: str) -> None:

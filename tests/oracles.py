@@ -111,6 +111,62 @@ def networks_equal(a, b):
     return True
 
 
+def naive_score_neurons(net, original, batch, layers, lambda_threshold=1e-3,
+                        metrics=("act-sum", "act-var", "weight-sum", "weight-var",
+                                 "act-out-corr", "act-precision")):
+    """Per-neuron scoring, one channel at a time, as
+    [(metric, layer, channel, value, degenerate)] in (metric, layer,
+    channel) order.
+
+    Each channel's statistic is computed from its own slice with the same
+    numpy reductions the program applies, so five metrics must match it
+    bit for bit; the correlation's dot products follow the textbook form.
+    """
+    def total(t):
+        return float(np.sum(t, dtype=np.float64))
+
+    def var(t):
+        flat = np.asarray(t, dtype=np.float64).ravel()
+        dev = flat - flat.mean()
+        return float(np.mean(dev * dev))
+
+    def corr(xs, ys):
+        xa = np.asarray(xs, dtype=np.float64)
+        ya = np.asarray(ys, dtype=np.float64)
+        dx, dy = xa - xa.mean(), ya - ya.mean()
+        sxx, syy = float(np.dot(dx, dx)), float(np.dot(dy, dy))
+        if sxx == 0.0 or syy == 0.0:
+            return None
+        return min(abs(float(np.dot(dx, dy)) / math.sqrt(sxx * syy)), 1.0)
+
+    rows = []
+    for metric in metrics:
+        for layer in layers:
+            for ch in range(net.conv_out_channels(layer)):
+                value, dead = 0.0, False
+                if metric in ("act-sum", "act-var"):
+                    m = original.conv_acts[layer][ch]
+                    value = total(m) if metric == "act-sum" else var(m)
+                elif metric in ("weight-sum", "weight-var"):
+                    if layer == net.conv_count:
+                        dead = True
+                    else:
+                        sl = net.conv_layer(layer + 1).w[:, ch]
+                        value = total(sl) if metric == "weight-sum" else var(sl)
+                elif metric == "act-out-corr":
+                    maps = batch.conv_acts[layer][:, ch]
+                    r = corr([total(m) for m in maps], batch.output[:, original.predicted_class])
+                    dead = r is None
+                    value = 0.0 if dead else r
+                else:
+                    stack = batch.conv_acts[layer][:, ch].astype(np.float64)
+                    dead = float(np.mean(np.abs(stack))) < lambda_threshold
+                    if not dead:
+                        value = float(np.mean(1.0 / np.maximum(stack.var(axis=0), 1e-12)))
+                rows.append((metric, layer, ch, value, dead))
+    return rows
+
+
 def fsum_total(t):
     return math.fsum(np.asarray(t, dtype=np.float64).ravel().tolist())
 

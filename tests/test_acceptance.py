@@ -136,7 +136,7 @@ def test_numeric_identities():
         want = two_pass_pearson_abs(xs.tolist(), ys.tolist())
         pearson_worst = max(pearson_worst, abs(got - want))
         m = r.split(2).uniform(0, 1, (1, 6, 6)).astype(DTYPE)
-        v = score_act_var(fake_trace({1: m}), NeuronId(1, 0)).value
+        v = score_act_var(fake_trace({1: m}), 1)[0].value
         variance_worst = max(variance_worst, abs(v - two_pass_variance(m)))
 
     grad_worst = run_gradcheck(20)

@@ -123,30 +123,41 @@ def test_explain_all_metrics_layout(trained, tmp_path):
 
 
 def test_patches_numbered_by_rank_after_dead_reconstruction(trained, tmp_path, monkeypatch):
-    # the first neuron deconvolved (first metric, lowest layer, rank 1)
-    # comes back all zero, so its patch is dead
-    real = deconvnet.deconvolve
+    # the first neuron walked back (first metric, lowest layer, rank 1)
+    # comes back all zero, so its patch is dead for every metric that ranks it
+    real = deconvnet.deconvolve_channels
     victim = []
 
-    def deconvolve(net, trace, neuron):
+    def deconvolve_channels(net, trace, layer, channels):
+        out = real(net, trace, layer, channels)
         if not victim:
-            victim.append(neuron)
-        out = real(net, trace, neuron)
-        return np.zeros_like(out) if neuron == victim[0] else out
+            victim.append((layer, int(channels[0])))
+        for row, ch in zip(out, channels):
+            if (layer, int(ch)) == victim[0]:
+                row[...] = 0
+        return out
 
-    monkeypatch.setattr(deconvnet, "deconvolve", deconvolve)
+    monkeypatch.setattr(deconvnet, "deconvolve_channels", deconvolve_channels)
     assert main(explain_args(trained, tmp_path, ["--metric", "all"])) == 0
     ranked = {tuple(row.split("\t")[:4])
               for row in (tmp_path / "ranked.tsv").read_text().strip().split("\n")[1:]}
     patches = [tuple(row.split("\t")[:4])
                for row in (tmp_path / "patches.tsv").read_text().strip().split("\n")[1:]]
     assert patches and all(p in ranked for p in patches)
-    layer, channel = str(victim[0].layer), str(victim[0].channel)
+    layer, channel = str(victim[0][0]), str(victim[0][1])
     dead = {r for r in ranked if (r[1], r[3]) == (layer, channel)}
     assert dead and not dead & set(patches)
     for metric, _, rank, _ in dead:
         assert not (tmp_path / f"{metric}_{layer}_{rank}.ppm").exists()
     assert "dead reconstruction" in (tmp_path / "MANIFEST.txt").read_text()
+
+
+def test_explain_walks_each_distinct_neuron_once(trained, tmp_path, walked_neurons):
+    assert main(explain_args(trained, tmp_path, ["--metric", "all"])) == 0
+    ranked = [row.split("\t") for row in (tmp_path / "ranked.tsv").read_text().strip().split("\n")[1:]]
+    distinct = {(int(layer), int(channel)) for _, layer, _, channel, _ in ranked}
+    assert len(ranked) > len(distinct)  # metrics share neurons
+    assert sorted(walked_neurons) == sorted(distinct)
 
 
 def test_explain_single_metric(trained, tmp_path):

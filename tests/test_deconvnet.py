@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from patchlens.deconvnet import (
     Patch,
     deconvolve,
+    deconvolve_channels,
     extract_patch,
     extract_top_patches,
     unpool,
@@ -113,6 +114,33 @@ def test_deconvolve_requires_valid_neuron():
         deconvolve(net, trace, NeuronId(1, 9))
 
 
+@pytest.mark.parametrize("k", [1, 7, 8, 11])
+def test_batched_walk_matches_single_neuron(k):
+    # 8 is network._CHUNK: 7 and 8 fill one stack, 11 spills into a second
+    net = reference_network(Rng(49, 0))
+    img = Rng(49, 1).uniform(0, 1, (3, 32, 32)).astype(DTYPE)
+    trace = forward(net, img)
+    live = 0
+    for layer in range(1, net.conv_count + 1):
+        channels = Rng(49, 2 + layer).permutation(net.conv_out_channels(layer))[:k].tolist()
+        batched = deconvolve_channels(net, trace, layer, channels)
+        assert batched.shape == (k, 3, 32, 32)
+        for row, ch in zip(batched, channels):
+            single = deconvolve(net, trace, NeuronId(layer, ch))
+            assert row.tobytes() == single.tobytes()
+            live += bool(row.any())
+    assert live >= net.conv_count // 2
+
+
+def test_batched_walk_requires_valid_channels():
+    net = identity_net()
+    trace = forward(net, np.ones((2, 4, 4), dtype=DTYPE))
+    with pytest.raises(UsageError):
+        deconvolve_channels(net, trace, 1, [0, 9])
+    with pytest.raises(UsageError):
+        deconvolve_channels(net, trace, 2, [0])
+
+
 # ---------------------------------------------------------------------------
 # unpool
 
@@ -144,6 +172,16 @@ def test_unpool_support_and_values(seed):
     # pool(unpool(pool(x))) == pool(x) exactly
     re_pooled, _ = maxpool_forward(up[None], layer)
     assert np.array_equal(re_pooled[0], pooled[0])
+
+
+def test_batched_unpool_matches_per_item():
+    x = Rng(50, 0).uniform(0, 1, (1, 3, 8, 8)).astype(DTYPE)
+    _, switches = maxpool_forward(x, MaxPoolLayer(2, 2))
+    stack = Rng(50, 1).uniform(-1, 1, (2, 5, 3, 4, 4)).astype(DTYPE)
+    up = unpool(stack, switches[0], (3, 8, 8))
+    assert up.shape == (2, 5, 3, 8, 8)
+    for idx in np.ndindex(2, 5):
+        assert up[idx].tobytes() == unpool(stack[idx], switches[0], (3, 8, 8)).tobytes()
 
 
 def test_unpool_rejects_bad_switches():

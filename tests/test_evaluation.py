@@ -134,6 +134,20 @@ def test_localization_rejects_empty():
         patch_localization([], np.zeros((4, 4), dtype=bool))
 
 
+def test_localization_smaller_top_reuses_larger_cut(walked_neurons):
+    net, images = small_trained_net()
+    positives = [im for im in images if im.mask is not None][:2]
+    cfg = PipelineConfig(n=6, sigma=0.1, seed=5, layer_range=(2, 3))
+    metrics = ("act-sum", "act-precision")
+    only_20 = localization_study(net, positives, cfg, metrics=metrics, n_tops=(20,))
+    walks_20 = list(walked_neurons)
+    assert walks_20
+    walked_neurons.clear()
+    both = localization_study(net, positives, cfg, metrics=metrics, n_tops=(5, 20))
+    assert walked_neurons == walks_20  # the top-5 cut walks no neuron again
+    assert [row for row in both if row[1] == 20] == only_20
+
+
 # ---------------------------------------------------------------------------
 # patch dataset + secondary classifier
 
@@ -235,6 +249,17 @@ def test_identical_checkpoints_identical_points():
         assert (x.secondary_accuracy == y.secondary_accuracy
                 or (math.isnan(x.secondary_accuracy) and math.isnan(y.secondary_accuracy)))
         assert 0.0 <= x.mean_jaccard <= 1.0
+
+
+def test_probe_explains_deconvolve_nothing(walked_neurons):
+    net, images = small_trained_net()
+    val = dataset_split(images, "val")
+    vx = np.stack([im.image for im in val])
+    vy = np.array([im.label for im in val])
+    cfg = PipelineConfig(n=6, sigma=0.1, seed=5, n_top=2, layer_range=(2, 3))
+    convergence_study([(1, net), (2, net)], val[:2], vx, vy, cfg, Rng(16, 0),
+                      secondary_epochs=0)
+    assert walked_neurons == []
 
 
 def test_convergence_needs_two_checkpoints():

@@ -30,7 +30,7 @@ from patchlens.network import (
     ReluLayer,
 )
 from patchlens.tensor import DTYPE, Rng, pearson_abs
-from oracles import fsum_total, two_pass_variance
+from oracles import fsum_total, naive_score_neurons, two_pass_variance
 
 
 def fake_trace(acts_by_layer, out=(0.5, 0.5)):
@@ -68,12 +68,13 @@ def two_conv_net(w2):
 
 def test_act_sum_zero_map():
     t = fake_trace({1: np.zeros((1, 3, 3))})
-    assert score_act_sum(t, NeuronId(1, 0)).value == 0.0
+    assert score_act_sum(t, 1)[0].value == 0.0
 
 
 def test_act_sum_hand():
     t = fake_trace({1: [[[1, 2], [3, 4]]]})
-    s = score_act_sum(t, NeuronId(1, 0))
+    s, = score_act_sum(t, 1)
+    assert s.neuron == NeuronId(1, 0) and s.metric == "act-sum"
     assert s.value == 10.0
     assert not s.degenerate
 
@@ -81,31 +82,39 @@ def test_act_sum_hand():
 def test_act_sum_matches_oracle():
     m = Rng(31, 0).uniform(0, 1, (1, 5, 7)).astype(DTYPE)
     t = fake_trace({2: m})
-    assert score_act_sum(t, NeuronId(2, 0)).value == pytest.approx(fsum_total(m), rel=1e-12)
+    assert score_act_sum(t, 2)[0].value == pytest.approx(fsum_total(m), rel=1e-12)
 
 
 def test_act_var_constant_map():
     t = fake_trace({1: np.full((1, 4, 4), 3.0)})
-    assert score_act_var(t, NeuronId(1, 0)).value == 0.0
+    assert score_act_var(t, 1)[0].value == 0.0
 
 
 def test_act_var_hand():
     t = fake_trace({1: [[[0, 2], [0, 2]]]})
-    assert score_act_var(t, NeuronId(1, 0)).value == 1.0
+    assert score_act_var(t, 1)[0].value == 1.0
 
 
 def test_act_var_matches_oracle():
     m = Rng(32, 0).uniform(0, 1, (1, 6, 6)).astype(DTYPE)
     t = fake_trace({1: m})
-    assert abs(score_act_var(t, NeuronId(1, 0)).value - two_pass_variance(m)) < 1e-9
+    assert abs(score_act_var(t, 1)[0].value - two_pass_variance(m)) < 1e-9
 
 
 def test_bad_neuron_rejected():
     t = fake_trace({1: np.zeros((2, 3, 3))})
+    for score in (score_act_sum, score_act_var):
+        with pytest.raises(UsageError):
+            score(t, 3)
+    batch = fake_batch(np.zeros((2, 2, 3, 3)))
     with pytest.raises(UsageError):
-        score_act_sum(t, NeuronId(3, 0))
+        score_correlation(batch, 3, ref_class=1)
     with pytest.raises(UsageError):
-        score_act_sum(t, NeuronId(1, 5))
+        score_precision(batch, 3, PrecisionConfig())
+    net = two_conv_net(np.ones((2, 2, 1, 1)))
+    for score in (score_weight_sum, score_weight_var):
+        with pytest.raises(UsageError):
+            score(net, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -113,31 +122,31 @@ def test_bad_neuron_rejected():
 
 def test_weight_metrics_zero_next_layer():
     net = two_conv_net(np.zeros((3, 2, 2, 2)))
-    assert score_weight_sum(net, NeuronId(1, 0)).value == 0.0
-    assert score_weight_var(net, NeuronId(1, 0)).value == 0.0
+    assert score_weight_sum(net, 1)[0].value == 0.0
+    assert score_weight_var(net, 1)[0].value == 0.0
 
 
 def test_weight_metrics_ones_slice():
     w2 = np.zeros((2, 2, 1, 2), dtype=DTYPE)
     w2[:, 1, :, :] = 1.0  # channel 1's slice is four ones
     net = two_conv_net(w2)
-    assert score_weight_sum(net, NeuronId(1, 1)).value == 4.0
-    assert score_weight_var(net, NeuronId(1, 1)).value == 0.0
+    assert score_weight_sum(net, 1)[1].value == 4.0
+    assert score_weight_var(net, 1)[1].value == 0.0
 
 
 def test_weight_metrics_random_slice_oracle():
     w2 = (Rng(33, 0).uniform(0, 1, (3, 2, 3, 3)) - 0.5).astype(DTYPE)
     net = two_conv_net(w2)
     sl = w2[:, 0, :, :]
-    assert score_weight_sum(net, NeuronId(1, 0)).value == pytest.approx(fsum_total(sl), rel=1e-9)
-    assert abs(score_weight_var(net, NeuronId(1, 0)).value - two_pass_variance(sl)) < 1e-9
+    assert score_weight_sum(net, 1)[0].value == pytest.approx(fsum_total(sl), rel=1e-9)
+    assert abs(score_weight_var(net, 1)[0].value - two_pass_variance(sl)) < 1e-9
 
 
 def test_weight_metrics_last_conv_degenerate():
     net = two_conv_net(np.ones((2, 2, 1, 1)))
-    s = score_weight_sum(net, NeuronId(2, 0))
+    s = score_weight_sum(net, 2)[0]
     assert s.degenerate and s.value == 0.0
-    v = score_weight_var(net, NeuronId(2, 1))
+    v = score_weight_var(net, 2)[1]
     assert v.degenerate and v.value == 0.0
 
 
@@ -151,7 +160,7 @@ def corr_batch(sums, outs):
 
 def test_correlation_dead_neuron_degenerate():
     batch = corr_batch([2.0] * 5, [0.1, 0.2, 0.3, 0.4, 0.5])
-    s = score_correlation(batch, NeuronId(1, 0), ref_class=1)
+    s = score_correlation(batch, 1, ref_class=1)[0]
     assert s.degenerate and s.value == 0.0
 
 
@@ -159,7 +168,7 @@ def test_correlation_affine_dependence():
     outs = [0.1, 0.3, 0.5, 0.7]
     sums = [2 * o + 3 for o in outs]
     batch = corr_batch(sums, outs)
-    s = score_correlation(batch, NeuronId(1, 0), ref_class=1)
+    s = score_correlation(batch, 1, ref_class=1)[0]
     assert s.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -169,7 +178,7 @@ def test_correlation_matches_pearson_oracle():
     sums = np.asarray(r.uniform(0, 1, (50,)), dtype=DTYPE).tolist()
     outs = np.asarray(r.split(1).uniform(0, 1, (50,)), dtype=DTYPE).tolist()
     batch = corr_batch(sums, outs)
-    got = score_correlation(batch, NeuronId(1, 0), ref_class=1).value
+    got = score_correlation(batch, 1, ref_class=1)[0].value
     assert got == pytest.approx(pearson_abs(sums, outs), abs=1e-12)
 
 
@@ -183,10 +192,10 @@ def test_correlation_scale_invariances(a, b_num, c):
     r = Rng(35, 0)
     sums = (np.floor(r.uniform(0, 1, (20,)) * 256) / 256).tolist()
     outs = (np.floor(r.split(1).uniform(0, 1, (20,)) * 256) / 256).tolist()
-    base = score_correlation(corr_batch(sums, outs), NeuronId(1, 0), 1).value
-    mapped_s = score_correlation(corr_batch([a * s + b for s in sums], outs), NeuronId(1, 0), 1).value
+    base = score_correlation(corr_batch(sums, outs), 1, 1)[0].value
+    mapped_s = score_correlation(corr_batch([a * s + b for s in sums], outs), 1, 1)[0].value
     assert abs(base - mapped_s) < 1e-9
-    scaled_o = score_correlation(corr_batch(sums, [o * c for o in outs]), NeuronId(1, 0), 1).value
+    scaled_o = score_correlation(corr_batch(sums, [o * c for o in outs]), 1, 1)[0].value
     assert abs(base - scaled_o) < 1e-9
 
 
@@ -195,20 +204,20 @@ def test_correlation_scale_invariances(a, b_num, c):
 
 def test_precision_below_lambda_degenerate():
     batch = fake_batch([np.full((1, 2, 2), 1e-5), np.full((1, 2, 2), 2e-5)])
-    s = score_precision(batch, NeuronId(1, 0), PrecisionConfig())
+    s = score_precision(batch, 1, PrecisionConfig())[0]
     assert s.degenerate and s.value == 0.0
 
 
 def test_precision_hand():
     batch = fake_batch([[[[0.5]]], [[[1.5]]]])
-    s = score_precision(batch, NeuronId(1, 0), PrecisionConfig())
+    s = score_precision(batch, 1, PrecisionConfig())[0]
     assert s.value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_precision_matches_brute_force():
     r = Rng(36, 0)
     maps = [r.split(i).uniform(0, 1, (1, 3, 3)).astype(DTYPE) + 0.05 for i in range(50)]
-    got = score_precision(fake_batch(maps), NeuronId(1, 0), PrecisionConfig()).value
+    got = score_precision(fake_batch(maps), 1, PrecisionConfig())[0].value
     stack = np.stack([m[0].astype(np.float64) for m in maps])
     recips = []
     for rr in range(3):
@@ -222,14 +231,14 @@ def test_precision_matches_brute_force():
 def test_precision_shift_invariant():
     r = Rng(37, 0)
     maps = [r.split(i).uniform(0, 1, (1, 2, 2)).astype(np.float64) + 0.1 for i in range(10)]
-    base = score_precision(fake_batch(maps), NeuronId(1, 0), PrecisionConfig()).value
-    shifted = score_precision(fake_batch([m + 0.7 for m in maps]), NeuronId(1, 0), PrecisionConfig()).value
+    base = score_precision(fake_batch(maps), 1, PrecisionConfig())[0].value
+    shifted = score_precision(fake_batch([m + 0.7 for m in maps]), 1, PrecisionConfig())[0].value
     assert shifted == pytest.approx(base, rel=1e-6)
 
 
 def test_precision_zero_variance_capped():
     batch = fake_batch([np.full((1, 2, 2), 0.5)] * 4)
-    s = score_precision(batch, NeuronId(1, 0), PrecisionConfig())
+    s = score_precision(batch, 1, PrecisionConfig())[0]
     assert s.value == pytest.approx(1e12, rel=1e-9)
     assert not s.degenerate
 
@@ -364,3 +373,24 @@ def test_score_dump_layout():
     # act-sum rows sort before act-var, higher value first within a layer
     assert lines[1].split("\t")[:4] == ["1", "1", "act-sum", "0.9"]
     assert lines[2].split("\t")[:4] == ["1", "0", "act-sum", "0.3"]
+
+
+def test_score_neurons_matches_per_neuron_oracle():
+    from patchlens.network import forward, forward_batch, reference_network
+    from patchlens.perturbation import PerturbationConfig, perturb_batch
+
+    net = reference_network(Rng(40, 0))
+    img = Rng(40, 1).uniform(0, 1, (3, 32, 32)).astype(DTYPE)
+    cfg = PrecisionConfig(layer_range=(1, 7))
+    original = forward(net, img)
+    batch = forward_batch(net, perturb_batch(img, PerturbationConfig(n=12, sigma=0.1)), cfg.layers())
+    got = score_neurons(net, original, batch, cfg)
+    want = naive_score_neurons(net, original, batch, cfg.layers(), cfg.lambda_threshold)
+    assert [(s.metric, s.neuron.layer, s.neuron.channel, s.degenerate) for s in got] == \
+        [row[:3] + (row[4],) for row in want]
+    assert any(s.degenerate for s in got) and not all(s.degenerate for s in got)
+    for s, row in zip(got, want):
+        if s.metric == "act-out-corr":
+            assert abs(s.value - row[3]) <= 1e-12
+        else:
+            assert s.value == row[3], (s, row)

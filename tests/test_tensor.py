@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from patchlens.errors import DegenerateCorrelationError, NumericError
 from patchlens.tensor import (
@@ -11,6 +11,7 @@ from patchlens.tensor import (
     ensure_finite,
     gaussian_sample,
     pearson_abs,
+    pearson_abs_columns,
     tensor_sum,
     variance,
 )
@@ -134,18 +135,44 @@ finite_f = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=32)
 
 
 @settings(max_examples=60, deadline=None)
+@example([0.0, 0.0, 3.7694453920911457e-32], 1.0, 0.35)  # maps ys to a constant
 @given(st.lists(finite_f, min_size=3, max_size=40),
        st.floats(min_value=-8, max_value=8).filter(lambda a: abs(a) > 1e-3),
        st.floats(min_value=-100, max_value=100))
 def test_pearson_affine_invariant(ys, a, b):
     n = len(ys)
     xs = Rng(17, 0).uniform(0, 1, (n,))
+    mapped_ys = [a * y + b for y in ys]
+    # the map must keep ys's spread far above the float64 spacing of its
+    # values, or rounding alone reshapes (or flattens) the mapped sequence
+    assume(abs(a) * (max(ys) - min(ys)) > 1e-7 * max(abs(v) for v in mapped_ys))
     try:
         base = pearson_abs(xs, ys)
     except DegenerateCorrelationError:
         return
-    mapped = pearson_abs(xs, [a * y + b for y in ys])
+    mapped = pearson_abs(xs, mapped_ys)
     assert abs(base - mapped) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 6), st.sets(st.integers(0, 5)),
+       st.booleans(), st.integers(0, 10_000))
+def test_pearson_columns_match_scalar(n, k, constant, constant_y, seed):
+    r = Rng(seed, 0)
+    x = (r.uniform(0, 1, (n, k)) - 0.5) * 10
+    for j in constant:
+        if j < k:
+            x[:, j] = x[0, j]
+    y = np.full(n, 0.25) if constant_y else r.split(1).uniform(0, 1, (n,)).astype(DTYPE)
+    got = pearson_abs_columns(x, y)
+    assert got.shape == (k,)
+    for j in range(k):
+        try:
+            want = pearson_abs(x[:, j], y)
+        except DegenerateCorrelationError:
+            assert math.isnan(got[j])
+        else:
+            assert got[j] == want
 
 
 @settings(max_examples=60, deadline=None)
