@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericError, UsageError
 from .evaluation import (convergence_study, dataset_split, generate_dataset,
-                         localization_study, patch_localization, read_dataset,
+                         localization_study, patch_hits, read_dataset,
                          write_dataset, write_localization_csv,
                          write_report_text, write_trajectory_csv)
 from .imageio import annotate_patches, read_pgm, read_ppm, write_ppm
@@ -175,19 +175,19 @@ def cmd_explain(args) -> None:
     notes = []
     ranked_rows = ["metric\tlayer\trank\tchannel\tvalue"]
     patch_rows = ["metric\tlayer\trank\tchannel\ttop\tleft\theight\twidth"]
-    value_of = {(s.metric, s.neuron): s.value for s in result.scores}
     patch_sets = {}
     for metric in metrics:
-        per_metric = [s for s in result.scores if s.metric == metric]
+        records = result.scores[metric]
         with open(os.path.join(out, f"scores_{metric}.tsv"), "w") as fh:
-            fh.write(score_dump_text(per_metric))
+            fh.write(score_dump_text(records))
         ranked = result.ranked[metric]
         rank_of = {}
-        for layer in sorted(ranked.layers):
-            for rank_i, neuron in enumerate(ranked.layers[layer], start=1):
+        for rec in records:
+            values = rec.values.tolist()
+            for rank_i, neuron in enumerate(ranked.layers[rec.layer], start=1):
                 rank_of[neuron] = rank_i
-                ranked_rows.append(f"{metric}\t{layer}\t{rank_i}\t{neuron.channel}"
-                                   f"\t{_fmt(value_of[(metric, neuron)])}")
+                ranked_rows.append(f"{metric}\t{rec.layer}\t{rank_i}\t{neuron.channel}"
+                                   f"\t{_fmt(values[neuron.channel])}")
         for layer, missing in sorted(ranked.shortfalls.items()):
             notes.append(f"{metric}: layer {layer} short {missing} of {cfg.n_top} neurons")
         patch_set = patch_sets[metric] = result.patches(metric)
@@ -216,9 +216,8 @@ def cmd_explain(args) -> None:
         for metric in metrics:
             patches = patch_sets[metric].patches
             if patches:
-                ratio = patch_localization(patches, mask)
-                hits = round(ratio * len(patches))
-                loc_rows.append(f"{metric}\t{_fmt(ratio)}\t{len(patches)}\t{hits}")
+                hits = patch_hits(patches, mask)
+                loc_rows.append(f"{metric}\t{_fmt(hits / len(patches))}\t{len(patches)}\t{hits}")
             else:
                 loc_rows.append(f"{metric}\t-\t0\t0")
         with open(os.path.join(out, "localization.tsv"), "w") as fh:

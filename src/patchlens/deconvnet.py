@@ -27,7 +27,6 @@ class Patch:
     metric: str
     bbox: tuple[int, int, int, int]  # top, left, height, width
     pixels: np.ndarray               # crop of the original image
-    reconstruction: np.ndarray       # matching crop of the deconv output
 
 
 @dataclass
@@ -131,8 +130,7 @@ def extract_patch(image: np.ndarray, reconstruction: np.ndarray, neuron: NeuronI
     left, right = int(cols[0]), int(cols[-1])
     bbox = (top, left, bottom - top + 1, right - left + 1)
     pixels = image[:, top:bottom + 1, left:right + 1].copy()
-    recon = reconstruction[:, top:bottom + 1, left:right + 1].copy()
-    return Patch(neuron, metric, bbox, pixels, recon)
+    return Patch(neuron, metric, bbox, pixels)
 
 
 def extract_top_patches(net: NetworkSpec, trace: ActivationTrace, ranked: RankedSet,

@@ -185,8 +185,8 @@ def dataset_split(images: list[LabeledImage], split: str) -> list[LabeledImage]:
 # ---------------------------------------------------------------------------
 # patch studies
 
-def patch_localization(patches, mask: np.ndarray, min_overlap: int = 1) -> float:
-    """Fraction of patches whose bbox covers at least min_overlap mask pixels."""
+def patch_hits(patches, mask: np.ndarray) -> int:
+    """How many patches' bboxes cover at least one mask pixel."""
     if not patches:
         raise UsageError("empty patch list")
     if mask is None:
@@ -194,9 +194,8 @@ def patch_localization(patches, mask: np.ndarray, min_overlap: int = 1) -> float
     hits = 0
     for p in patches:
         top, left, height, width = p.bbox
-        if int(mask[top:top + height, left:left + width].sum()) >= min_overlap:
-            hits += 1
-    return hits / len(patches)
+        hits += bool(mask[top:top + height, left:left + width].any())
+    return hits
 
 
 def harvest_patches(net: NetworkSpec, images: list[LabeledImage], cfg: PipelineConfig,
@@ -266,11 +265,10 @@ def localization_study(net: NetworkSpec, positives: list[LabeledImage],
         result = explain(net, im.image, cfg, metrics=metrics)
         for n in sorted(n_tops, reverse=True):
             for m in metrics:
-                for p in result.patches(m, n).patches:
-                    top, left, height, width = p.bbox
-                    hit = int(im.mask[top:top + height, left:left + width].any())
-                    totals[(m, n)][0] += hit
-                    totals[(m, n)][1] += 1
+                patches = result.patches(m, n).patches
+                if patches:
+                    totals[(m, n)][0] += patch_hits(patches, im.mask)
+                    totals[(m, n)][1] += len(patches)
     rows = []
     for m in metrics:
         for n in n_tops:

@@ -7,6 +7,10 @@ channel). The two batch metrics look across the perturbation batch: the
 magnitude of the correlation between per-sample activation and the
 network's output, and the mean reciprocal across-batch cell variance
 ("precision", high when the channel responds stably under input noise).
+
+Scores stay per layer from scorer to file: each metric gives one LayerScores
+record per conv layer, and LayerScores.order is the one definition of a
+layer's rank order, read by both the top-N selection and the score dump.
 """
 from __future__ import annotations
 
@@ -32,31 +36,21 @@ class NeuronId(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ImportanceScore:
-    neuron: NeuronId
+class LayerScores:
+    """One metric's scores for every channel of one conv layer.
+
+    Degenerate channels (no usable score) read 0.0 and never rank.
+    """
     metric: str
-    value: float
-    degenerate: bool = False
+    layer: int               # conv layer index, 1-based
+    values: np.ndarray       # float64 [C]
+    degenerate: np.ndarray   # bool [C]
 
-
-@dataclass
-class PrecisionConfig:
-    """Knobs for batch-metric scoring and top-N selection."""
-    lambda_threshold: float = 1e-3
-    n_top: int = 5
-    layer_range: tuple[int, int] = (2, 6)
-
-    def __post_init__(self):
-        if self.lambda_threshold < 0:
-            raise UsageError(f"lambda must be >= 0, got {self.lambda_threshold}")
-        if self.n_top < 1:
-            raise UsageError(f"top count must be >= 1, got {self.n_top}")
-        lo, hi = self.layer_range
-        if lo < 1 or hi < lo:
-            raise UsageError(f"bad layer range {self.layer_range}")
-
-    def layers(self) -> range:
-        return range(self.layer_range[0], self.layer_range[1] + 1)
+    def order(self) -> np.ndarray:
+        """Channels in rank order: live ones by descending value, ties to
+        the lower channel, then degenerate ones by channel."""
+        channels = np.arange(len(self.values))
+        return np.lexsort((channels, -self.values, self.degenerate))
 
 
 @dataclass
@@ -80,25 +74,23 @@ def _activation(trace: ActivationTrace | BatchTrace, layer: int) -> np.ndarray:
         raise UsageError(f"trace has no recorded activations for conv layer {layer}") from None
 
 
-def _layer_scores(layer: int, metric: str, values, degenerate=None) -> list[ImportanceScore]:
-    """One score per channel; degenerate channels read 0.0."""
+def _layer_scores(layer: int, metric: str, values, degenerate=None) -> LayerScores:
+    """The layer's record, with degenerate channels' values set to 0.0."""
     values = np.asarray(values, dtype=np.float64)
     if degenerate is None:
         degenerate = np.zeros(len(values), dtype=bool)
-    values = np.where(degenerate, 0.0, values).tolist()
-    return [ImportanceScore(NeuronId(layer, c), metric, v, bool(d))
-            for c, (v, d) in enumerate(zip(values, degenerate))]
+    return LayerScores(metric, layer, np.where(degenerate, 0.0, values), degenerate)
 
 
-def score_act_sum(trace: ActivationTrace, layer: int) -> list[ImportanceScore]:
+def score_act_sum(trace: ActivationTrace, layer: int) -> LayerScores:
     return _layer_scores(layer, "act-sum", tensor_sum(_activation(trace, layer), axis=(1, 2)))
 
 
-def score_act_var(trace: ActivationTrace, layer: int) -> list[ImportanceScore]:
+def score_act_var(trace: ActivationTrace, layer: int) -> LayerScores:
     return _layer_scores(layer, "act-var", variance(_activation(trace, layer), axis=(1, 2)))
 
 
-def _weight_scores(net: NetworkSpec, layer: int, metric: str, stat) -> list[ImportanceScore]:
+def _weight_scores(net: NetworkSpec, layer: int, metric: str, stat) -> LayerScores:
     """stat over the weights of conv layer l+1 that read each channel of
     layer l; every channel is degenerate on the last conv layer."""
     channels = net.conv_out_channels(layer)
@@ -109,15 +101,15 @@ def _weight_scores(net: NetworkSpec, layer: int, metric: str, stat) -> list[Impo
     return _layer_scores(layer, metric, stat(slices, axis=(1, 2, 3)))
 
 
-def score_weight_sum(net: NetworkSpec, layer: int) -> list[ImportanceScore]:
+def score_weight_sum(net: NetworkSpec, layer: int) -> LayerScores:
     return _weight_scores(net, layer, "weight-sum", tensor_sum)
 
 
-def score_weight_var(net: NetworkSpec, layer: int) -> list[ImportanceScore]:
+def score_weight_var(net: NetworkSpec, layer: int) -> LayerScores:
     return _weight_scores(net, layer, "weight-var", variance)
 
 
-def score_correlation(batch: BatchTrace, layer: int, ref_class: int) -> list[ImportanceScore]:
+def score_correlation(batch: BatchTrace, layer: int, ref_class: int) -> LayerScores:
     """|Pearson r| between per-sample activation sum and the probability the
     network assigns to ref_class (the original image's predicted class)."""
     maps = _activation(batch, layer)
@@ -132,12 +124,12 @@ def score_correlation(batch: BatchTrace, layer: int, ref_class: int) -> list[Imp
 _PRECISION_BLOCK_BYTES = 1 << 20
 
 
-def score_precision(batch: BatchTrace, layer: int, cfg: PrecisionConfig) -> list[ImportanceScore]:
+def score_precision(batch: BatchTrace, layer: int, lambda_threshold: float) -> LayerScores:
     """Mean over cells of 1 / Var_i(cell), Var floored at 1e-12.
 
     Channels whose mean absolute activation over the whole batch falls below
-    lambda are degenerate: a dead channel is perfectly stable, and the floor
-    would otherwise rank it at the top.
+    lambda_threshold are degenerate: a dead channel is perfectly stable, and
+    the floor would otherwise rank it at the top.
     """
     maps = _activation(batch, layer)
     n, channels = maps.shape[:2]
@@ -154,64 +146,46 @@ def score_precision(batch: BatchTrace, layer: int, cfg: PrecisionConfig) -> list
         cell_var = variance(stack, axis=1)
         values.append((1.0 / np.maximum(cell_var, _VAR_FLOOR)).reshape(b, -1).mean(axis=1))
     return _layer_scores(layer, "act-precision", np.concatenate(values),
-                         np.concatenate(mean_abs) < cfg.lambda_threshold)
+                         np.concatenate(mean_abs) < lambda_threshold)
 
 
-def score_neurons(net: NetworkSpec, original: ActivationTrace,
-                  batch: BatchTrace | None, cfg: PrecisionConfig,
-                  metrics=METRICS) -> list[ImportanceScore]:
-    """Score every neuron in cfg's layer range under the selected metrics.
+def score_neurons(net: NetworkSpec, original: ActivationTrace, batch: BatchTrace | None,
+                  layers, lambda_threshold: float = 1e-3,
+                  metrics=METRICS) -> dict[str, list[LayerScores]]:
+    """{metric: one record per layer, in layer order} for the selected metrics.
 
     Baselines read the original image's trace; batch metrics read the
     perturbation batch's record (None when no batch metric is selected),
     with the correlation's output column fixed to the class predicted for
-    the original image. Scores come in (metric, layer, channel) order.
+    the original image. A layer outside the network or the record raises
+    UsageError.
     """
-    lo, hi = cfg.layer_range
-    if hi > net.conv_count:
-        raise UsageError(f"layer range {cfg.layer_range} exceeds the network's {net.conv_count} conv layers")
-    scores = []
-    for metric in metrics:
-        if metric not in METRICS:
-            raise UsageError(f"unknown metric {metric!r}")
-        for layer in cfg.layers():
-            if metric == "act-sum":
-                scores += score_act_sum(original, layer)
-            elif metric == "act-var":
-                scores += score_act_var(original, layer)
-            elif metric == "weight-sum":
-                scores += score_weight_sum(net, layer)
-            elif metric == "weight-var":
-                scores += score_weight_var(net, layer)
-            elif metric == "act-out-corr":
-                scores += score_correlation(batch, layer, original.predicted_class)
-            elif metric == "act-precision":
-                scores += score_precision(batch, layer, cfg)
-    return scores
+    score = {
+        "act-sum": lambda layer: score_act_sum(original, layer),
+        "act-var": lambda layer: score_act_var(original, layer),
+        "weight-sum": lambda layer: score_weight_sum(net, layer),
+        "weight-var": lambda layer: score_weight_var(net, layer),
+        "act-out-corr": lambda layer: score_correlation(batch, layer, original.predicted_class),
+        "act-precision": lambda layer: score_precision(batch, layer, lambda_threshold),
+    }
+    return {m: [score[m](layer) for layer in layers] for m in metrics}
 
 
-def rank(scores: list[ImportanceScore], metric: str, cfg: PrecisionConfig) -> RankedSet:
-    """Top-N per layer by descending score, ties to the lower channel index.
+def rank(records: list[LayerScores], n_top: int) -> RankedSet:
+    """Top-N per layer: the first n_top live channels of each layer's
+    rank order, for one metric's records in layer order.
 
-    Degenerate neurons never rank; layers that cannot fill N record a
-    shortfall instead of failing.
+    Layers that cannot fill N record a shortfall instead of failing.
     """
-    if metric not in METRICS:
-        raise UsageError(f"unknown metric {metric!r}")
-    per_layer: dict[int, list[ImportanceScore]] = {layer: [] for layer in cfg.layers()}
-    if not per_layer:
-        raise UsageError("empty layer range")
-    for s in scores:
-        if s.metric == metric and s.neuron.layer in per_layer:
-            per_layer[s.neuron.layer].append(s)
-    out = RankedSet(metric, cfg.layer_range)
-    for layer, rows in per_layer.items():
-        live = [s for s in rows if not s.degenerate]
-        live.sort(key=lambda s: (-s.value, s.neuron.channel))
-        picks = [s.neuron for s in live[:cfg.n_top]]
-        out.layers[layer] = picks
-        if len(picks) < cfg.n_top:
-            out.shortfalls[layer] = cfg.n_top - len(picks)
+    if n_top < 1:
+        raise UsageError(f"top count must be >= 1, got {n_top}")
+    out = RankedSet(records[0].metric, (records[0].layer, records[-1].layer))
+    for rec in records:
+        live = int(np.count_nonzero(~rec.degenerate))
+        picks = [NeuronId(rec.layer, ch) for ch in rec.order()[:min(live, n_top)].tolist()]
+        out.layers[rec.layer] = picks
+        if len(picks) < n_top:
+            out.shortfalls[rec.layer] = n_top - len(picks)
     return out
 
 
@@ -227,16 +201,12 @@ def jaccard(a: RankedSet, b: RankedSet) -> float:
     return len(sa & sb) / len(union)
 
 
-def score_dump_text(scores: list[ImportanceScore]) -> str:
-    """Tab-separated score table, sorted by (metric, layer, rank).
-
-    Rank order within a layer is descending value with ascending-channel
-    tie-break; degenerate rows sort after live ones, by channel.
-    """
-    def key(s: ImportanceScore):
-        return (s.metric, s.neuron.layer, s.degenerate, -s.value if not s.degenerate else 0.0, s.neuron.channel)
-
+def score_dump_text(records: list[LayerScores]) -> str:
+    """Tab-separated score table: the records in the order given, each
+    layer's rows in its rank order."""
     lines = ["layer\tchannel\tmetric\tvalue\tdegenerate"]
-    for s in sorted(scores, key=key):
-        lines.append(f"{s.neuron.layer}\t{s.neuron.channel}\t{s.metric}\t{s.value:.9g}\t{int(s.degenerate)}")
+    for rec in records:
+        values, degenerate = rec.values.tolist(), rec.degenerate.tolist()
+        for ch in rec.order().tolist():
+            lines.append(f"{rec.layer}\t{ch}\t{rec.metric}\t{values[ch]:.9g}\t{int(degenerate[ch])}")
     return "\n".join(lines) + "\n"

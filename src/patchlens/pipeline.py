@@ -1,9 +1,10 @@
 """End-to-end explanation of one image: perturb, trace, score, rank, cut.
 
 explain() is the single entry point the CLI and the evaluation harness both
-build on. It returns the query image's own trace, the scores and the ranked
-sets; the perturbation batch's record is read by the scoring step and then
-dropped. Patches are cut on demand, per metric and top-N, from the query
+build on. It returns the query image's own trace, the scores (one
+LayerScores record per metric and layer) and the ranked sets; the
+perturbation batch's record is read by the scoring step and then dropped.
+Patches are cut on demand, per metric and top-N, from the query
 image's trace: each neuron is deconvolved at most once per result, so a
 caller that reads only the rankings deconvolves nothing.
 """
@@ -15,10 +16,10 @@ import numpy as np
 
 from .deconvnet import PatchSet, extract_top_patches
 from .errors import UsageError
-from .importance import (METRICS, ImportanceScore, NeuronId, PrecisionConfig,
-                         RankedSet, rank, score_neurons)
+from .importance import (METRICS, LayerScores, NeuronId, RankedSet, rank,
+                         score_neurons)
 from .network import ActivationTrace, NetworkSpec, forward, forward_batch
-from .perturbation import PerturbationConfig, perturb_batch
+from .perturbation import perturb_batch
 
 
 @dataclass
@@ -34,13 +35,16 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise UsageError(f"eps must lie in (0, 1), got {self.eps}")
-        self.precision_config()  # checks lambda, the top count and the layer range
+        if self.lambda_threshold < 0:
+            raise UsageError(f"lambda must be >= 0, got {self.lambda_threshold}")
+        if self.n_top < 1:
+            raise UsageError(f"top count must be >= 1, got {self.n_top}")
+        lo, hi = self.layer_range
+        if lo < 1 or hi < lo:
+            raise UsageError(f"bad layer range {self.layer_range}")
 
-    def precision_config(self) -> PrecisionConfig:
-        return PrecisionConfig(self.lambda_threshold, self.n_top, self.layer_range)
-
-    def perturbation_config(self) -> PerturbationConfig:
-        return PerturbationConfig(self.n, self.sigma, 1.0, self.seed)
+    def layers(self) -> range:
+        return range(self.layer_range[0], self.layer_range[1] + 1)
 
 
 @dataclass
@@ -49,7 +53,7 @@ class ExplainResult:
     image: np.ndarray
     cfg: PipelineConfig
     original: ActivationTrace
-    scores: list[ImportanceScore]
+    scores: dict[str, list[LayerScores]]  # metric -> one record per layer
     ranked: dict[str, RankedSet]
     # NeuronId -> reconstruction from the query image's trace, filled by patches()
     reconstructions: dict[NeuronId, np.ndarray] = field(default_factory=dict)
@@ -64,8 +68,7 @@ class ExplainResult:
             raise UsageError(f"metric {metric!r} was not scored in this explanation")
         ranked = self.ranked[metric]
         if n_top is not None and n_top != self.cfg.n_top:
-            pcfg = PrecisionConfig(self.cfg.lambda_threshold, n_top, self.cfg.layer_range)
-            ranked = rank(self.scores, metric, pcfg)
+            ranked = rank(self.scores[metric], n_top)
         return extract_top_patches(self.net, self.original, ranked, self.image,
                                    self.cfg.eps, self.reconstructions)
 
@@ -74,9 +77,12 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
             metrics=METRICS) -> ExplainResult:
     """Scores and rankings for one image under the selected metrics.
 
-    The perturbation batch drives only the two batch metrics' scores, and
-    its walk keeps only the layer range's conv maps; every deconvolution
-    starts from the unperturbed image's own trace, when patches() asks.
+    Every input check runs before the first forward pass, so the batch
+    (whose draw checks n and sigma) is drawn before the query image's
+    trace. The perturbation batch drives only the two batch
+    metrics' scores, and its walk keeps only the layer range's conv maps;
+    every deconvolution starts from the unperturbed image's own trace, when
+    patches() asks.
     """
     metrics = tuple(metrics)
     if not metrics:
@@ -87,12 +93,9 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
     if cfg.layer_range[1] > net.conv_count:
         raise UsageError(f"layer range {cfg.layer_range} exceeds the network's {net.conv_count} conv layers")
     needs_batch = any(m in ("act-out-corr", "act-precision") for m in metrics)
-    perturbation = cfg.perturbation_config() if needs_batch else None
-    pcfg = cfg.precision_config()
+    noisy = perturb_batch(image, cfg.n, cfg.sigma, cfg.seed) if needs_batch else None
     original = forward(net, image)
-    batch = None
-    if needs_batch:
-        batch = forward_batch(net, perturb_batch(image, perturbation), pcfg.layers())
-    scores = score_neurons(net, original, batch, pcfg, metrics)
-    ranked = {m: rank(scores, m, pcfg) for m in metrics}
+    batch = forward_batch(net, noisy, cfg.layers()) if needs_batch else None
+    scores = score_neurons(net, original, batch, cfg.layers(), cfg.lambda_threshold, metrics)
+    ranked = {m: rank(scores[m], cfg.n_top) for m in metrics}
     return ExplainResult(net, image, cfg, original, scores, ranked)

@@ -26,9 +26,8 @@ from patchlens.evaluation import (
     train_secondary,
 )
 from patchlens.importance import (
-    ImportanceScore,
+    LayerScores,
     NeuronId,
-    PrecisionConfig,
     RankedSet,
     jaccard,
     rank,
@@ -136,7 +135,7 @@ def test_numeric_identities():
         want = two_pass_pearson_abs(xs.tolist(), ys.tolist())
         pearson_worst = max(pearson_worst, abs(got - want))
         m = r.split(2).uniform(0, 1, (1, 6, 6)).astype(DTYPE)
-        v = score_act_var(fake_trace({1: m}), 1)[0].value
+        v = score_act_var(fake_trace({1: m}), 1).values[0]
         variance_worst = max(variance_worst, abs(v - two_pass_variance(m)))
 
     grad_worst = run_gradcheck(20)
@@ -188,11 +187,9 @@ def test_structural_invariants():
         r = Rng(7300 + seed, 0)
         vals = r.uniform(0, 1, (64,)).tolist()
         dead = set(np.flatnonzero(r.split(1).uniform(0, 1, (64,)) < 0.2).tolist())
-        scores = [ImportanceScore(NeuronId(1, ch), "act-sum", 0.0 if ch in dead else v,
-                                  ch in dead)
-                  for ch, v in enumerate(vals)]
-        cfg = PrecisionConfig(n_top=5, layer_range=(1, 1))
-        rs = rank(scores, "act-sum", cfg)
+        is_dead = np.array([ch in dead for ch in range(64)])
+        scores = LayerScores("act-sum", 1, np.where(is_dead, 0.0, vals), is_dead)
+        rs = rank([scores], 5)
         order = sorted((ch for ch in range(64) if ch not in dead),
                        key=lambda ch: (-vals[ch], ch))[:5]
         assert rs.layers[1] == [NeuronId(1, ch) for ch in order]

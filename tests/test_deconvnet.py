@@ -11,7 +11,7 @@ from patchlens.deconvnet import (
     unpool,
 )
 from patchlens.errors import DataFormatError, DeadPathError, UsageError
-from patchlens.importance import NeuronId, PrecisionConfig, rank, score_neurons
+from patchlens.importance import NeuronId, rank, score_neurons
 from patchlens.network import (
     ConvLayer,
     DenseLayer,
@@ -260,9 +260,8 @@ def test_single_neuron_patch_fields():
     net = identity_net()
     img = Rng(45, 0).uniform(0, 1, (2, 4, 4)).astype(DTYPE) + 0.0
     trace = forward(net, img)
-    cfg = PrecisionConfig(n_top=1, layer_range=(1, 1))
-    scores = score_neurons(net, trace, None, cfg, metrics=("act-sum",))
-    rs = rank(scores, "act-sum", cfg)
+    scores = score_neurons(net, trace, None, range(1, 2), metrics=("act-sum",))
+    rs = rank(scores["act-sum"], 1)
     ps = extract_top_patches(net, trace, rs, img)
     assert ps.metric == "act-sum"
     assert len(ps.patches) == 1
@@ -275,10 +274,9 @@ def test_identical_rankings_give_identical_patches():
     net = identity_net()
     img = Rng(46, 0).uniform(0, 1, (2, 4, 4)).astype(DTYPE)
     trace = forward(net, img)
-    cfg = PrecisionConfig(n_top=2, layer_range=(1, 1))
-    scores = score_neurons(net, trace, None, cfg, metrics=("act-sum", "act-var"))
-    ra = rank(scores, "act-sum", cfg)
-    rb = rank(scores, "act-var", cfg)
+    scores = score_neurons(net, trace, None, range(1, 2), metrics=("act-sum", "act-var"))
+    ra = rank(scores["act-sum"], 2)
+    rb = rank(scores["act-var"], 2)
     if ra.layers == {layer: picks for layer, picks in rb.layers.items()}:
         pa = extract_top_patches(net, trace, ra, img)
         pb = extract_top_patches(net, trace, rb, img)
@@ -291,9 +289,8 @@ def test_reference_net_full_extraction():
     net = reference_network(Rng(47, 0))
     img = Rng(48, 0).uniform(0, 1, (3, 32, 32)).astype(DTYPE)
     trace = forward(net, img)
-    cfg = PrecisionConfig(n_top=5, layer_range=(2, 6))
-    scores = score_neurons(net, trace, None, cfg, metrics=("act-sum",))
-    rs = rank(scores, "act-sum", cfg)
+    scores = score_neurons(net, trace, None, range(2, 7), metrics=("act-sum",))
+    rs = rank(scores["act-sum"], 5)
     ps = extract_top_patches(net, trace, rs, img)
     assert len(ps.patches) + len(ps.dead) == 25
     for p in ps.patches:

@@ -12,7 +12,7 @@ from patchlens.evaluation import (
     generate_dataset,
     harvest_patches,
     localization_study,
-    patch_localization,
+    patch_hits,
     read_dataset,
     secondary_network,
     spearman,
@@ -99,11 +99,10 @@ def test_dataset_split_filter():
 
 
 # ---------------------------------------------------------------------------
-# localization ratio
+# localization hits
 
 def patch_with_bbox(bbox):
     return Patch(NeuronId(2, 0), "act-sum", bbox,
-                 np.zeros((3, bbox[2], bbox[3]), dtype=DTYPE),
                  np.zeros((3, bbox[2], bbox[3]), dtype=DTYPE))
 
 
@@ -111,14 +110,14 @@ def test_localization_all_inside():
     mask = np.zeros((32, 32), dtype=bool)
     mask[10:20, 10:20] = True
     patches = [patch_with_bbox((12, 12, 3, 3)) for _ in range(4)]
-    assert patch_localization(patches, mask) == 1.0
+    assert patch_hits(patches, mask) == len(patches)
 
 
 def test_localization_none_overlap():
     mask = np.zeros((32, 32), dtype=bool)
     mask[0:4, 0:4] = True
     patches = [patch_with_bbox((20, 20, 5, 5))]
-    assert patch_localization(patches, mask) == 0.0
+    assert patch_hits(patches, mask) == 0
 
 
 def test_localization_ratio_exact():
@@ -126,12 +125,14 @@ def test_localization_ratio_exact():
     mask[0:2, 0:2] = True
     hits = [patch_with_bbox((0, 0, 2, 2))] * 31
     misses = [patch_with_bbox((20, 20, 2, 2))] * 4
-    assert patch_localization(hits + misses, mask) == pytest.approx(31 / 35)
+    assert patch_hits(hits + misses, mask) == 31
+    # one covered mask pixel makes a hit
+    assert patch_hits([patch_with_bbox((1, 1, 3, 3))], mask) == 1
 
 
 def test_localization_rejects_empty():
     with pytest.raises(UsageError):
-        patch_localization([], np.zeros((4, 4), dtype=bool))
+        patch_hits([], np.zeros((4, 4), dtype=bool))
 
 
 def test_localization_smaller_top_reuses_larger_cut(walked_neurons):

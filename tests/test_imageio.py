@@ -92,7 +92,6 @@ def test_write_checks_shape(tmp_path):
 
 def patch_at(layer, bbox):
     return Patch(NeuronId(layer, 0), "act-sum", bbox,
-                 np.zeros((3, bbox[2], bbox[3]), dtype=DTYPE),
                  np.zeros((3, bbox[2], bbox[3]), dtype=DTYPE))
 
 

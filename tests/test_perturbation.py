@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchlens.errors import UsageError
-from patchlens.perturbation import PerturbationConfig, perturb_batch
+from patchlens.perturbation import perturb_batch
 from patchlens.tensor import DTYPE, Rng, gaussian_sample
 
 
@@ -12,20 +12,20 @@ def demo_image(seed=0, shape=(3, 8, 8)):
 
 def test_tiny_sigma_preserves_image():
     img = demo_image()
-    for s in perturb_batch(img, PerturbationConfig(n=5, sigma=1e-12)):
+    for s in perturb_batch(img, 5, 1e-12, 0):
         assert np.max(np.abs(s - img)) < 1e-6
 
 
 def test_zero_image_is_fixed_point():
     img = np.zeros((3, 4, 4), dtype=DTYPE)
-    for s in perturb_batch(img, PerturbationConfig(n=5, sigma=0.1)):
+    for s in perturb_batch(img, 5, 0.1, 0):
         assert np.array_equal(s, img)
 
 
 def test_batch_mean_tracks_original():
     # 50 draws of Normal(1, 0.01): sample mean stddev ~ 0.014 per pixel
     img = (demo_image(3) * 0.8 + 0.1).astype(DTYPE)
-    batch = np.stack(perturb_batch(img, PerturbationConfig(n=50, sigma=0.1)))
+    batch = np.stack(perturb_batch(img, 50, 0.1, 0))
     mean = batch.mean(axis=0)
     mid = (img >= 0.1) & (img <= 0.9)
     assert np.all(np.abs(mean[mid] - img[mid]) < 0.05)
@@ -33,14 +33,13 @@ def test_batch_mean_tracks_original():
 
 def test_all_pixels_in_unit_range():
     img = demo_image(4)
-    for s in perturb_batch(img, PerturbationConfig(n=20, sigma=0.8)):
+    for s in perturb_batch(img, 20, 0.8, 0):
         assert s.min() >= 0.0 and s.max() <= 1.0
 
 
 def test_sample_i_is_stream_i():
     img = demo_image(5)
-    cfg = PerturbationConfig(n=6, sigma=0.1, master_seed=99)
-    batch = perturb_batch(img, cfg)
+    batch = perturb_batch(img, 6, 0.1, 99)
     for i, s in enumerate(batch):
         noise = gaussian_sample(Rng(99, i), 1.0, 0.1, img.shape)
         want = np.clip(img * noise, 0.0, 1.0)
@@ -49,32 +48,31 @@ def test_sample_i_is_stream_i():
 
 def test_rerun_bit_identical():
     img = demo_image(6)
-    cfg = PerturbationConfig(n=10, sigma=0.1, master_seed=3)
-    a = perturb_batch(img, cfg)
-    b = perturb_batch(img, cfg)
+    a = perturb_batch(img, 10, 0.1, 3)
+    b = perturb_batch(img, 10, 0.1, 3)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def test_original_not_in_batch():
     img = demo_image(7)
-    cfg = PerturbationConfig(n=50, sigma=0.1)
-    assert not any(np.array_equal(s, img) for s in perturb_batch(img, cfg))
+    assert not any(np.array_equal(s, img) for s in perturb_batch(img, 50, 0.1, 0))
 
 
 def test_samples_pairwise_distinct_across_runs():
     img = demo_image(8)
     seen = set()
     for seed in range(100):
-        for s in perturb_batch(img, PerturbationConfig(n=3, sigma=0.1, master_seed=seed)):
+        for s in perturb_batch(img, 3, 0.1, seed):
             key = s.tobytes()
             assert key not in seen
             seen.add(key)
 
 
 def test_config_rejects_bad_values():
+    img = demo_image()
     with pytest.raises(UsageError):
-        PerturbationConfig(n=1)
+        perturb_batch(img, 1, 0.1, 0)
     with pytest.raises(UsageError):
-        PerturbationConfig(sigma=0.0)
+        perturb_batch(img, 50, 0.0, 0)
     with pytest.raises(UsageError):
-        PerturbationConfig(sigma=-0.1)
+        perturb_batch(img, 50, -0.1, 0)
