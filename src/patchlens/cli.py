@@ -20,8 +20,8 @@ from .evaluation import (convergence_study, dataset_split, generate_dataset,
                          write_report_text, write_trajectory_csv)
 from .imageio import annotate_patches, read_pgm, read_ppm, write_ppm
 from .importance import METRICS, score_dump_text
-from .network import (TrainConfig, load_weights, reference_network,
-                      save_weights, train)
+from .network import (TrainConfig, evaluate_accuracy, load_weights,
+                      reference_network, save_weights, train)
 from .pipeline import PipelineConfig, explain
 from .tensor import Rng
 
@@ -136,11 +136,12 @@ def cmd_train(args) -> None:
     val_y = np.asarray([im.label for im in val_set], dtype=np.int64) if val_set else None
 
     log = ["epoch\ttrain_acc\tval_acc\tloss"]
-    result = train(net, x, y, TrainConfig(epochs=args.epochs, lr=args.lr),
-                   Rng(seed, _STREAM_TRAIN), val_x, val_y)
-    for (epoch, loss, train_acc, val_acc), snapshot in zip(result.history, result.checkpoints):
+    result = train(net, x, y, TrainConfig(epochs=args.epochs, lr=args.lr), Rng(seed, _STREAM_TRAIN))
+    for epoch, (loss, snapshot) in enumerate(zip(result.losses, result.checkpoints), start=1):
         save_weights(snapshot, os.path.join(ckpt_dir, f"epoch_{epoch:03d}.nnwc"),
                      os.path.join(ckpt_dir, "network.manifest"))
+        train_acc = evaluate_accuracy(snapshot, x, y)
+        val_acc = evaluate_accuracy(snapshot, val_x, val_y) if val_set else float("nan")
         log.append(f"{epoch}\t{_fmt(train_acc)}\t{_fmt(val_acc)}\t{_fmt(loss)}")
     with open(os.path.join(out, "train_log.tsv"), "w") as fh:
         fh.write("\n".join(log) + "\n")

@@ -225,15 +225,17 @@ def conv_forward_cols(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.n
 
 
 def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: add each (dy, dx) row block back onto the image grid."""
+    """Add each (dy, dx) block of a [N, kh*kw*C, Ho*Wo] matrix back onto the
+    image grid; the adjoint of _im2col with rows ordered (dy, dx, c), so each
+    add reads one contiguous [C, Ho, Wo] block per image."""
     n, c, h, w = x_shape
     ho = conv_out_extent(h, kh, stride, pad)
     wo = conv_out_extent(w, kw, stride, pad)
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, kh, kw, ho, wo)
+    d6 = dcols.reshape(n, kh, kw, c, ho, wo)
     for dy in range(kh):
         for dx in range(kw):
-            dxp[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride] += d6[:, :, dy, dx]
+            dxp[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride] += d6[:, dy, dx]
     if pad:
         dxp = dxp[:, :, pad:-pad, pad:-pad]
     return dxp
@@ -247,7 +249,8 @@ def conv_input_grad(dout: np.ndarray, layer: ConvLayer, x_shape) -> np.ndarray:
     """
     o, ci, kh, kw = layer.w.shape
     n = dout.shape[0]
-    dcols = layer.w.reshape(o, -1).T.astype(dout.dtype, copy=False) @ dout.reshape(n, o, -1)
+    wt = layer.w.transpose(2, 3, 1, 0).reshape(kh * kw * ci, o).astype(dout.dtype, copy=False)
+    dcols = wt @ dout.reshape(n, o, -1)
     return _col2im(dcols, (n,) + tuple(x_shape[1:]), kh, kw, layer.stride, layer.pad)
 
 
@@ -261,27 +264,41 @@ def conv_param_grad(dout: np.ndarray, cols: np.ndarray, layer: ConvLayer):
     return dw, db
 
 
+def _pool_views(x: np.ndarray, layer: MaxPoolLayer) -> dict:
+    """{(dy, dx): view} in row-major window order; view[n, c, i, j] is cell
+    (dy, dx) of pooled cell (i, j)'s window."""
+    k, s = layer.window, layer.stride
+    ho = (x.shape[2] - k) // s + 1
+    wo = (x.shape[3] - k) // s + 1
+    return {(dy, dx): x[:, :, dy:dy + ho * s:s, dx:dx + wo * s:s] for dy in range(k) for dx in range(k)}
+
+
+def maxpool_values(x: np.ndarray, layer: MaxPoolLayer) -> np.ndarray:
+    """Pooled maxima only, for walks that keep no switches. A NaN in a
+    window propagates to its pooled cell."""
+    views = list(_pool_views(x, layer).values())
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
 def maxpool_forward(x: np.ndarray, layer: MaxPoolLayer) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, switches).
 
     switches[n, c, i, j] is the flat row-major index into the pre-pool H*W
     plane of the cell that won pooled cell (i, j). Ties go to the first cell
-    in row-major scan order.
+    in row-major scan order: the scan runs last to first, so the earliest
+    cell equal to the maximum writes last. A window whose maximum is NaN
+    keeps its first cell.
     """
-    n, c, h, w = x.shape
-    k, s = layer.window, layer.stride
-    ho = (h - k) // s + 1
-    wo = (w - k) // s + 1
-    out = np.full((n, c, ho, wo), -np.inf, dtype=x.dtype)
-    switches = np.zeros((n, c, ho, wo), dtype=np.int32)
-    for dy in range(k):
-        for dx in range(k):
-            vals = x[:, :, dy:dy + ho * s:s, dx:dx + wo * s:s]
-            better = vals > out
-            rows = (np.arange(ho, dtype=np.int32) * s + dy)[:, None]
-            cols = (np.arange(wo, dtype=np.int32) * s + dx)[None, :]
-            np.copyto(out, vals, where=better)
-            np.copyto(switches, (rows * w + cols)[None, None], where=better)
+    out = maxpool_values(x, layer)
+    w, s = x.shape[3], layer.stride
+    ho, wo = out.shape[2:]
+    corner = (np.arange(ho, dtype=np.int32) * s * w)[:, None] + (np.arange(wo, dtype=np.int32) * s)[None, :]
+    switches = np.broadcast_to(corner, out.shape).copy()
+    for (dy, dx), view in reversed(_pool_views(x, layer).items()):
+        np.copyto(switches, corner + (dy * w + dx), where=view == out)
     return out, switches
 
 
@@ -330,7 +347,8 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
     index in convs, the map after that conv's nonlinearity (the raw conv
     output when no relu follows). switch_tensors holds each max-pool's
     switches by layer-list position when switches is set. A caches list
-    receives (position, layer, cache) per layer for the backward pass. The
+    receives (position, layer, cache) per layer for the backward pass. Only
+    walks that keep switches or caches build pool switches at all. The
     output squash is left to the callers that need probabilities.
     """
     maps: dict[int, np.ndarray] = {}
@@ -351,10 +369,13 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
             if conv_index in maps and isinstance(net.layers[pos - 1], ConvLayer):
                 maps[conv_index] = x
         elif isinstance(layer, MaxPoolLayer):
-            x, sw = maxpool_forward(x, layer)
-            cache = (sw, x_in.shape)
-            if switches:
-                switch_tensors[pos] = sw
+            if switches or caches is not None:
+                x, sw = maxpool_forward(x, layer)
+                cache = (sw, x_in.shape)
+                if switches:
+                    switch_tensors[pos] = sw
+            else:
+                x = maxpool_values(x, layer)
         elif isinstance(layer, FlattenLayer):
             x = x.reshape(len(x), -1)
             cache = x_in.shape
@@ -463,7 +484,7 @@ class TrainConfig:
 class TrainResult:
     net: NetworkSpec
     checkpoints: list  # weight snapshot after each epoch
-    history: list      # (epoch, mean_loss, train_accuracy, val_accuracy or nan)
+    losses: list       # mean minibatch loss of each epoch
 
 
 def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
@@ -498,17 +519,18 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
         elif isinstance(layer, ConvLayer):
             x_shape, cols = cache
             grads[pos] = conv_param_grad(grad, cols, layer)
-            grad = conv_input_grad(grad, layer, x_shape)
+            if pos:  # the gradient w.r.t. the image itself is never read
+                grad = conv_input_grad(grad, layer, x_shape)
     return loss, grads
 
 
-def train(net: NetworkSpec, images, labels, cfg: TrainConfig, rng: Rng,
-          val_images=None, val_labels=None) -> TrainResult:
+def train(net: NetworkSpec, images, labels, cfg: TrainConfig, rng: Rng) -> TrainResult:
     """Plain minibatch SGD with cross-entropy loss.
 
     Shuffles from a per-epoch child stream of rng, snapshots the full weight
     set after every epoch, and raises NumericError on divergence. The input
-    network is trained in place and also returned.
+    network is trained in place and also returned. Accuracies are left to
+    the callers that read them: evaluate_accuracy on a checkpoint.
     """
     x = np.stack([np.asarray(im, dtype=DTYPE) for im in images])
     y = np.asarray(labels, dtype=np.int64)
@@ -517,7 +539,7 @@ def train(net: NetworkSpec, images, labels, cfg: TrainConfig, rng: Rng,
     if y.min() < 0 or y.max() >= net.num_classes:
         raise UsageError(f"labels outside 0..{net.num_classes - 1}")
     checkpoints = []
-    history = []
+    epoch_losses = []
     for epoch in range(cfg.epochs):
         order = rng.split(epoch).permutation(len(x))
         losses = []
@@ -533,12 +555,8 @@ def train(net: NetworkSpec, images, labels, cfg: TrainConfig, rng: Rng,
                     layer.b -= cfg.lr * db
             losses.append(loss)
         checkpoints.append(net.copy())
-        train_acc = evaluate_accuracy(net, x, y)
-        val_acc = float("nan")
-        if val_images is not None and len(val_images):
-            val_acc = evaluate_accuracy(net, val_images, val_labels)
-        history.append((epoch + 1, float(np.mean(losses)) if losses else float("nan"), train_acc, val_acc))
-    return TrainResult(net, checkpoints, history)
+        epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
+    return TrainResult(net, checkpoints, epoch_losses)
 
 
 def evaluate_accuracy(net: NetworkSpec, images, labels) -> float:

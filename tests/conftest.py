@@ -1,5 +1,5 @@
 """Shared pytest wiring: the acceptance gate's end-of-run verdict block and
-a counter of deconvolution walks."""
+counters of conv forwards and deconvolution walks."""
 import pytest
 
 verdict_lines = []
@@ -27,3 +27,19 @@ def walked_neurons(monkeypatch):
 
     monkeypatch.setattr(deconvnet, "deconvolve_channels", counting)
     return seen
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """Batch size of every conv forward, one per conv layer per walked chunk."""
+    from patchlens import network
+
+    calls = []
+    real = network.conv_forward_cols
+
+    def counting(x, layer):
+        calls.append(len(x))
+        return real(x, layer)
+
+    monkeypatch.setattr(network, "conv_forward_cols", counting)
+    return calls

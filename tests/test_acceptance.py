@@ -81,8 +81,7 @@ def reference_run():
     t0 = time.monotonic()
     result = train(net, [im.image for im in train_set],
                    [im.label for im in train_set],
-                   TrainConfig(epochs=30, lr=REFERENCE_LR), Rng(0, 3),
-                   val_images=val_x, val_labels=val_y)
+                   TrainConfig(epochs=30, lr=REFERENCE_LR), Rng(0, 3))
     train_seconds = time.monotonic() - t0
     val_pos = [im for im in val_set if im.label == 1 and im.mask is not None]
     val_neg = [im for im in val_set if im.label == 0]

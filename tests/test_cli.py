@@ -6,6 +6,7 @@ import pytest
 
 from patchlens import deconvnet, network
 from patchlens.cli import main
+from patchlens.evaluation import dataset_split, read_dataset
 from patchlens.imageio import write_pgm, write_ppm
 from patchlens.importance import METRICS
 from patchlens.tensor import DTYPE
@@ -83,6 +84,28 @@ def test_train_from_directory(trained, tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "checkpoints" / "epoch_000.nnwc").exists()
+
+
+def test_train_log_accuracies_are_the_checkpoints(tmp_path):
+    # seed 1's accuracies change from epoch to epoch, so a row computed on
+    # any net other than its own epoch's checkpoint shows
+    rc = main(["train", "--synthetic", "40", "--epochs", "3", "--lr", "0.05", "--seed", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    dataset = read_dataset(tmp_path / "dataset")
+    splits = {}
+    for split in ("train", "val"):
+        images = dataset_split(dataset, split)
+        splits[split] = (np.stack([im.image for im in images]), [im.label for im in images])
+    log = (tmp_path / "train_log.tsv").read_text().strip().split("\n")
+    assert len(log) == 4
+    rows = [row.split("\t") for row in log[1:]]
+    assert len({row[1] for row in rows}) == 3
+    for epoch, train_acc, val_acc, _loss in rows:
+        net = network.load_weights(tmp_path / "checkpoints" / f"epoch_{int(epoch):03d}.nnwc",
+                                   tmp_path / "checkpoints" / "network.manifest")
+        assert train_acc == f"{network.evaluate_accuracy(net, *splits['train']):.9g}"
+        assert val_acc == f"{network.evaluate_accuracy(net, *splits['val']):.9g}"
 
 
 def test_train_divergence_exit_code(tmp_path):
@@ -217,20 +240,6 @@ def test_usage_errors(tmp_path, trained):
     assert main(["evaluate", "--checkpoints", str(trained / "checkpoints"),
                  "--data", str(trained / "dataset"), "--metrics", "act-var,act-sum,act-var",
                  "--out", str(tmp_path / "v")]) == 1
-
-
-@pytest.fixture
-def conv_calls(monkeypatch):
-    """Counts conv forwards, one per conv layer per walked chunk."""
-    calls = []
-    real = network.conv_forward_cols
-
-    def counting(x, layer):
-        calls.append(len(x))
-        return real(x, layer)
-
-    monkeypatch.setattr(network, "conv_forward_cols", counting)
-    return calls
 
 
 @pytest.mark.parametrize("extra", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchlens import network
 from patchlens.errors import DataFormatError, NumericError, UsageError
 from patchlens.network import (
     ConvLayer,
@@ -23,6 +24,7 @@ from patchlens.network import (
     load_weights,
     loss_gradients,
     maxpool_forward,
+    maxpool_values,
     reference_network,
     save_weights,
     softmax,
@@ -222,6 +224,82 @@ def test_switch_points_at_pooled_max(seed, window, stride):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 3), st.integers(1, 4))
+def test_pool_kernels_match_naive_on_ties(seed, window, stride, levels):
+    # a few integer levels with most cells clipped to 0, as after a relu:
+    # ties in most windows, and all-zero windows among them
+    x = np.maximum(np.floor(Rng(seed, 0).uniform(-levels, levels, (2, 3, 9, 8))), 0).astype(DTYPE)
+    x[1, 2] = 0
+    layer = MaxPoolLayer(window, stride)
+    values = maxpool_values(x, layer)
+    pooled, switches = maxpool_forward(x, layer)
+    for n in range(2):
+        want, want_arg = naive_maxpool(x[n], window, stride)
+        assert np.array_equal(values[n], want)
+        assert np.array_equal(pooled[n], want)
+        assert np.array_equal(switches[n].astype(np.int64), want_arg)
+
+
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
+def test_pool_nan_propagates_and_switches_stay_in_window(window, stride):
+    x = Rng(31, 0).uniform(0, 1, (1, 2, 7, 7)).astype(DTYPE)
+    x[0, 0, 1, 1] = np.nan
+    x[0, 1] = np.nan  # every window of this plane is all NaN
+    layer = MaxPoolLayer(window, stride)
+    pooled, switches = maxpool_forward(x, layer)
+    assert np.array_equal(maxpool_values(x, layer), pooled, equal_nan=True)
+    assert np.isnan(pooled[0, 0, 0, 0]) and np.isnan(pooled[0, 1]).all()
+    ho, wo = pooled.shape[2:]
+    rows, cols = np.divmod(switches, 7)
+    top = (np.arange(ho) * stride)[:, None]
+    left = (np.arange(wo) * stride)[None, :]
+    assert ((rows >= top) & (rows < top + window) & (cols >= left) & (cols < left + window)).all()
+
+
+def test_nan_image_is_rejected():
+    net = random_small_net()
+    images = Rng(32, 0).uniform(0, 1, (3, 1, 8, 8)).astype(DTYPE)
+    images[2, 0, 3, 3] = np.nan
+    with pytest.raises(NumericError, match="sample 2"):
+        forward_batch(net, images, (1,))
+    with pytest.raises(NumericError):
+        forward(net, images[2])
+
+
+@pytest.fixture
+def pool_switch_calls(monkeypatch):
+    calls = []
+    real = network.maxpool_forward
+
+    def counting(x, layer):
+        calls.append(len(x))
+        return real(x, layer)
+
+    monkeypatch.setattr(network, "maxpool_forward", counting)
+    return calls
+
+
+def test_only_walks_that_keep_switches_build_them(pool_switch_calls):
+    net = reference_network(Rng(23, 0))
+    images = Rng(24, 0).uniform(0, 1, (11, 3, 32, 32)).astype(DTYPE)
+    forward_batch(net, images, range(1, 8))
+    evaluate_accuracy(net, images, np.zeros(11, dtype=np.int64))
+    assert pool_switch_calls == []
+    forward(net, images[0])
+    loss_gradients(net, images[:4], np.zeros(4, dtype=np.int64))
+    assert pool_switch_calls == [1] * 3 + [4] * 3  # the reference net's 3 pools
+
+
+def test_train_runs_no_extra_forwards(conv_calls):
+    images = Rng(25, 0).uniform(0, 1, (10, 3, 32, 32)).astype(DTYPE)
+    labels = np.arange(10) % 2
+    train(reference_network(Rng(26, 0)), images, labels, TrainConfig(epochs=2, lr=0.01, batch_size=4),
+          Rng(27, 0))
+    # 2 epochs x 3 minibatches (4 + 4 + 2 images) x 7 convs, one forward each
+    assert conv_calls == ([4] * 7 + [4] * 7 + [2] * 7) * 2
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 3), st.integers(1, 2), st.integers(0, 1), st.integers(3, 9), st.integers(3, 9))
 def test_batched_conv_kernels_match_per_sample_loops(seed, c, o, kh, kw, stride, pad, h, w):
@@ -296,7 +374,7 @@ def test_checkpoints_one_per_epoch():
     xs, ys = separable_toy()
     result = train(random_small_net(5), xs, ys, TrainConfig(epochs=3, lr=0.01), Rng(2, 0))
     assert len(result.checkpoints) == 3
-    assert [row[0] for row in result.history] == [1, 2, 3]
+    assert len(result.losses) == 3
     assert networks_equal(result.checkpoints[-1], result.net)
 
 
