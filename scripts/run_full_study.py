@@ -4,8 +4,8 @@
 Trains the reference network on the 2000-image synthetic set (30 epochs,
 fixed seed), runs the quantitative harness over every checkpoint, and
 renders annotated explanations for the first masked validation positive.
-About 15 minutes on a 2-core machine (886 s measured: 313 s training,
-571 s harness); everything lands under --out.
+About 7 minutes on a 2-core machine (387 s measured: 220 s training,
+166 s harness); everything lands under --out.
 """
 import argparse
 import os

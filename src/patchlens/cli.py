@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DataFormatError, NumericError, UsageError
 from .evaluation import (convergence_study, dataset_split, generate_dataset,
-                         localization_study, patch_hits, read_dataset,
-                         write_dataset, write_localization_csv,
+                         harness_sets, localization_study, patch_hits,
+                         read_dataset, write_dataset, write_localization_csv,
                          write_report_text, write_trajectory_csv)
 from .imageio import annotate_patches, read_pgm, read_ppm, write_ppm
 from .importance import METRICS, score_dump_text
@@ -265,27 +265,16 @@ def cmd_evaluate(args) -> None:
         raise DataFormatError(f"{args.data}: dataset has no val-split images")
     val_x = np.stack([im.image for im in val_set])
     val_y = np.asarray([im.label for im in val_set], dtype=np.int64)
-    val_pos = [im for im in val_set if im.label == 1 and im.mask is not None]
-    val_neg = [im for im in val_set if im.label == 0]
-    if not val_pos:
-        raise DataFormatError(f"{args.data}: no masked positive val images")
-    # agreement reads on masked positives (negatives carry no figure for the
-    # two metrics to agree on); the patch classifiers need both classes
-    probes = val_pos[:8]
-    patch_images = val_pos[:4] + val_neg[:4]
+    probes, positives = harness_sets(val_set)
 
     cfg = PipelineConfig(seed=args.seed, layer_range=args.layers)
     points = convergence_study(checkpoints, probes, val_x, val_y, cfg,
-                               Rng(args.seed, _STREAM_SECONDARY), metrics=metrics,
-                               patch_images=patch_images)
-    final_net = checkpoints[-1][1]
-    loc_rows = localization_study(final_net, val_pos[:20], cfg, metrics=metrics)
-    last_epoch = checkpoints[-1][0]
-    secondary_rows = [(p.metric, p.secondary_accuracy) for p in points if p.epoch == last_epoch]
+                               Rng(args.seed, _STREAM_SECONDARY), metrics=metrics)
+    loc_rows = localization_study(checkpoints[-1][1], positives, cfg, metrics=metrics)
 
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), points)
     write_localization_csv(os.path.join(out, "localization.csv"), loc_rows)
-    write_report_text(os.path.join(out, "report.txt"), points, loc_rows, secondary_rows)
+    write_report_text(os.path.join(out, "report.txt"), points, loc_rows)
     echo = [("checkpoints", args.checkpoints), ("data", args.data),
             ("layers", f"{cfg.layer_range[0]}..{cfg.layer_range[1]}"),
             ("metrics", args.metrics), ("seed", args.seed)]

@@ -182,6 +182,20 @@ def dataset_split(images: list[LabeledImage], split: str) -> list[LabeledImage]:
     return [im for im in images if im.split == split]
 
 
+def harness_sets(val_set: list[LabeledImage]) -> tuple[list[LabeledImage], list[LabeledImage]]:
+    """The harness's fixed image sets, drawn from the val split in order.
+
+    Returns (probes, positives): the first 4 masked positives and the first
+    4 negatives, which both the agreement and the patch classifiers read,
+    and the first 20 masked positives for localization.
+    """
+    val_pos = [im for im in val_set if im.label == 1 and im.mask is not None]
+    val_neg = [im for im in val_set if im.label == 0]
+    if not val_pos:
+        raise DataFormatError("val split has no masked positive images")
+    return val_pos[:4] + val_neg[:4], val_pos[:20]
+
+
 # ---------------------------------------------------------------------------
 # patch studies
 
@@ -198,19 +212,22 @@ def patch_hits(patches, mask: np.ndarray) -> int:
     return hits
 
 
+def _add_crops(out: dict[str, tuple[list, list]], result, label: int) -> None:
+    """Append each metric's top patches from one explanation, resized to the
+    secondary classifier's 16x16 input, with the parent image's label."""
+    for m, (patches, labels) in out.items():
+        for p in result.patches(m).patches:
+            patches.append(resize_bilinear(p.pixels, 16, 16))
+            labels.append(label)
+
+
 def harvest_patches(net: NetworkSpec, images: list[LabeledImage], cfg: PipelineConfig,
                     metrics) -> dict[str, tuple[list, list]]:
     """Explain each image once and collect, per metric, its top patches
-    resized to the secondary classifier's 16x16 input, with the parent
-    image's label."""
+    resized to 16x16, with the parent image's label."""
     out = {m: ([], []) for m in metrics}
     for im in images:
-        result = explain(net, im.image, cfg, metrics=metrics)
-        for m in metrics:
-            patches, labels = out[m]
-            for p in result.patches(m).patches:
-                patches.append(resize_bilinear(p.pixels, 16, 16))
-                labels.append(im.label)
+        _add_crops(out, explain(net, im.image, cfg, metrics=metrics), im.label)
     return out
 
 
@@ -290,44 +307,74 @@ class TrajectoryPoint:
     secondary_accuracy: float
 
 
+_AGREEMENT = ("act-out-corr", "act-precision")
+
+
 def convergence_study(checkpoints, probes: list[LabeledImage], val_images, val_labels,
-                      cfg: PipelineConfig, rng: Rng,
-                      metrics=("act-out-corr", "act-precision"),
-                      secondary_epochs: int = 25,
-                      patch_images: list[LabeledImage] | None = None) -> list[TrajectoryPoint]:
+                      cfg: PipelineConfig, rng: Rng, metrics=_AGREEMENT,
+                      secondary_epochs: int = 25) -> list[TrajectoryPoint]:
     """Per-checkpoint metric agreement and patch informativeness.
 
     checkpoints: list of (epoch, NetworkSpec). For each one: validation
     accuracy, the probe-mean Jaccard between the correlation and precision
     top-N sets, and a secondary classifier accuracy per metric trained on
-    that checkpoint's patches. The Jaccard trajectory reads on the probes;
-    the classifiers train on patches from patch_images when given (the
-    probes otherwise), so the agreement probes can be all one class while
-    the patch set stays balanced. The probe explains read only the
-    rankings, so they deconvolve nothing. The secondary rng derivation depends only
-    on rng, never the epoch tag, so equal checkpoints yield equal points.
-    Pass secondary_epochs=0 to skip the classifiers (accuracy NaN).
+    that checkpoint's patches of the probes. Each probe is explained once
+    per checkpoint, under the two agreement metrics and the selected ones
+    together; each metric scores on its own, so the rankings do not depend
+    on which others run. With secondary_epochs=0 the classifiers are
+    skipped (accuracy NaN) and nothing is deconvolved. The secondary rng
+    derivation depends only on rng, never the epoch tag, so equal
+    checkpoints yield equal points.
     """
     if len(checkpoints) < 2:
         raise UsageError("convergence study needs at least 2 checkpoints")
-    if patch_images is None:
-        patch_images = probes
+    explained = tuple(dict.fromkeys(_AGREEMENT + tuple(metrics)))
     points = []
     for epoch, net in checkpoints:
         pairs = []
+        harvested = {m: ([], []) for m in metrics}
         for im in probes:
-            result = explain(net, im.image, cfg, metrics=("act-out-corr", "act-precision"))
+            result = explain(net, im.image, cfg, metrics=explained)
             pairs.append(jaccard(result.ranked["act-out-corr"], result.ranked["act-precision"]))
-        harvested = harvest_patches(net, patch_images, cfg, metrics) if secondary_epochs > 0 else {}
+            if secondary_epochs > 0:
+                _add_crops(harvested, result, im.label)
+            del result  # before the next probe's explain allocates
         mean_j = float(np.mean(pairs))
         val_acc = evaluate_accuracy(net, val_images, val_labels)
-        for k, m in enumerate(metrics):
-            patches, labels = harvested.get(m, ([], []))
+        for k, (m, (patches, labels)) in enumerate(harvested.items()):
             acc = float("nan")
             if patches and len(set(labels)) > 1:
                 acc = train_secondary(patches, labels, rng.split(k), epochs=secondary_epochs)
             points.append(TrajectoryPoint(epoch, m, val_acc, mean_j, acc))
     return points
+
+
+@dataclass(frozen=True)
+class AgreementTrend:
+    """The agreement reading over a trajectory's trained epochs.
+
+    Epoch 0, the untrained initialisation, stays outside the trend: its
+    Jaccard is the null reading beside it (None when the series has no
+    epoch 0).
+    """
+    spearman: float    # spearman(epoch, Jaccard)
+    first: float       # Jaccard at the first trained epoch
+    final: float       # Jaccard at the last trained epoch
+    delta: float       # final - first
+    untrained: float | None
+
+
+def agreement_trend(points: list[TrajectoryPoint]) -> AgreementTrend:
+    jac = {}
+    for p in points:
+        jac.setdefault(p.epoch, p.mean_jaccard)
+    untrained = jac.pop(0, None)
+    if not jac:
+        raise UsageError("agreement trend needs at least one trained epoch")
+    epochs = sorted(jac)
+    series = [jac[e] for e in epochs]
+    return AgreementTrend(spearman(epochs, series), series[0], series[-1],
+                          series[-1] - series[0], untrained)
 
 
 def spearman(x, y) -> float:
@@ -377,18 +424,18 @@ def write_localization_csv(path, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_report_text(path, points: list[TrajectoryPoint], loc_rows, secondary_rows) -> None:
+def write_report_text(path, points: list[TrajectoryPoint], loc_rows) -> None:
     """Human-readable summary table of the whole evaluation."""
     lines = ["== convergence trajectory =="]
     lines.append("epoch  metric           val_acc  jaccard  secondary_acc")
     for p in points:
         lines.append(f"{p.epoch:>5}  {p.metric:<15}  {fmt(p.val_accuracy):>7}  "
                      f"{fmt(p.mean_jaccard):>7}  {fmt(p.secondary_accuracy)}")
-    if points:
-        epochs = sorted({p.epoch for p in points})
-        jac = {e: next(p.mean_jaccard for p in points if p.epoch == e) for e in epochs}
-        series = [jac[e] for e in epochs]
-        lines.append(f"spearman(epoch, jaccard) = {fmt(spearman(epochs, series))}")
+    trend = agreement_trend(points)
+    lines.append(f"trend over trained epochs: spearman {fmt(trend.spearman)}, "
+                 f"first {fmt(trend.first)}, final {fmt(trend.final)}, delta {fmt(trend.delta)}")
+    if trend.untrained is not None:
+        lines.append(f"untrained null (epoch 0, outside the trend): jaccard {fmt(trend.untrained)}")
     lines.append("")
     lines.append("== patch localization ==")
     lines.append("metric           n_top  ratio      hits/patches")
@@ -397,7 +444,9 @@ def write_report_text(path, points: list[TrajectoryPoint], loc_rows, secondary_r
     lines.append("")
     lines.append("== secondary classifier (final checkpoint) ==")
     lines.append("metric           held_out_accuracy")
-    for metric, acc in secondary_rows:
-        lines.append(f"{metric:<15}  {fmt(acc)}")
+    last_epoch = max(p.epoch for p in points)
+    for p in points:
+        if p.epoch == last_epoch:
+            lines.append(f"{p.metric:<15}  {fmt(p.secondary_accuracy)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -322,6 +322,9 @@ def maxpool_backward(dout: np.ndarray, switches: np.ndarray, x_shape,
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    """Class probabilities in float64, so that a confident output keeps
+    its spread: float32 rounds a probability near 1 in steps of 6e-8."""
+    z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -394,7 +397,7 @@ class ActivationTrace:
     conv_acts maps 1-based conv layer index to the activation recorded after
     that conv's nonlinearity (the raw conv output when no relu follows).
     switches maps the layer-list position of each max-pool to its switch
-    tensor. output is the squashed class-probability vector.
+    tensor. output is the float64 class-probability vector.
     """
 
     conv_acts: dict[int, np.ndarray]
@@ -423,7 +426,7 @@ class BatchTrace:
 
     conv_acts maps each requested 1-based conv index to its [N, C, H, W]
     maps, recorded as in ActivationTrace; output holds the [N, classes]
-    class probabilities.
+    float64 class probabilities.
     """
 
     conv_acts: dict[int, np.ndarray]

@@ -5,24 +5,22 @@ synthetic set, 30 training epochs); the criterion tests read it. Each test
 emits a single PASS/FAIL verdict line, echoed immediately when capture is
 off and repeated in the end-of-run summary block either way.
 """
-import math
 import os
-import shutil
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from patchlens.cli import main
-from patchlens.deconvnet import extract_patch, extract_top_patches
+from patchlens.deconvnet import extract_patch
 from patchlens.evaluation import (
+    agreement_trend,
     convergence_study,
     dataset_split,
     generate_dataset,
+    harness_sets,
     harvest_patches,
     localization_study,
-    spearman,
     train_secondary,
 )
 from patchlens.importance import (
@@ -83,13 +81,14 @@ def reference_run():
                    [im.label for im in train_set],
                    TrainConfig(epochs=30, lr=REFERENCE_LR), Rng(0, 3))
     train_seconds = time.monotonic() - t0
-    val_pos = [im for im in val_set if im.label == 1 and im.mask is not None]
-    val_neg = [im for im in val_set if im.label == 0]
+    probes, positives = harness_sets(val_set)
     return {
-        "checkpoints": list(enumerate(result.checkpoints, start=1)),
+        # epoch 0 is the untrained net, rebuilt from its seed: train updates net in place
+        "checkpoints": [(0, reference_network(Rng(0, 2)))]
+                       + list(enumerate(result.checkpoints, start=1)),
         "final": result.net,
-        "probes": val_pos[:4] + val_neg[:4],
-        "val_pos": val_pos,
+        "probes": probes,
+        "positives": positives,
         "val_x": val_x,
         "val_y": val_y,
         "cfg": PipelineConfig(),
@@ -225,17 +224,13 @@ def test_agreement_grows_with_training(reference_run):
                                reference_run["val_x"], reference_run["val_y"],
                                reference_run["cfg"], Rng(0, 4), secondary_epochs=0)
     seconds = time.monotonic() - t0
-    epochs = sorted({p.epoch for p in points})
-    jac = {e: next(p.mean_jaccard for p in points if p.epoch == e) for e in epochs}
-    series = [jac[e] for e in epochs]
-    rho = spearman(epochs, series)
-    delta = jac[epochs[-1]] - jac[epochs[0]]
+    trend = agreement_trend(points)
     total = reference_run["train_seconds"] + seconds
-    ok = rho > 0.3 and delta >= 0.1 and total < 1200
+    ok = trend.spearman > 0.3 and trend.delta >= 0.1 and total < 1200
     line = report("agreement trend", ok,
-                  f"spearman {rho:.3f}, first {jac[epochs[0]]:.3f}, "
-                  f"final {jac[epochs[-1]]:.3f}, delta {delta:.3f}, "
-                  f"train+study {total:.0f}s")
+                  f"spearman {trend.spearman:.3f}, first {trend.first:.3f}, "
+                  f"final {trend.final:.3f}, delta {trend.delta:.3f}, "
+                  f"untrained {trend.untrained:.3f}, train+study {total:.0f}s")
     assert ok, line
 
 
@@ -276,7 +271,7 @@ def test_patch_classifier_accuracy(reference_run):
 # localization
 
 def test_patch_localization(reference_run):
-    rows = localization_study(reference_run["final"], reference_run["val_pos"][:20],
+    rows = localization_study(reference_run["final"], reference_run["positives"],
                               reference_run["cfg"], n_tops=(5,))
     ratio = {m: r for m, n, r, total, hits in rows}
     precision = ratio["act-precision"]

@@ -222,7 +222,11 @@ def test_evaluate_layout(trained, tmp_path):
     for metric in ("act-out-corr", "act-precision"):
         assert sum(1 for r in body if r[1] == metric) == 2
     assert (tmp_path / "localization.csv").exists()
-    assert (tmp_path / "report.txt").exists()
+    report = (tmp_path / "report.txt").read_text().split("\n")
+    # one trained epoch: the trend is flat, and epoch 0 is its null row
+    jaccard0 = next(r[3] for r in body if r[0] == "0")
+    assert "trend over trained epochs: spearman 0, " in "\n".join(report)
+    assert f"untrained null (epoch 0, outside the trend): jaccard {jaccard0}" in report
     assert "run=evaluate" in (tmp_path / "MANIFEST.txt").read_text()
 
 

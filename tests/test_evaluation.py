@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from patchlens import evaluation
 from patchlens.deconvnet import Patch
-from patchlens.errors import UsageError
+from patchlens.errors import DataFormatError, UsageError
 from patchlens.evaluation import (
-    LabeledImage,
+    TrajectoryPoint,
+    agreement_trend,
     convergence_study,
     dataset_split,
     generate_dataset,
+    harness_sets,
     harvest_patches,
     localization_study,
     patch_hits,
@@ -96,6 +99,17 @@ def test_dataset_split_filter():
     val_set = dataset_split(images, "val")
     assert len(train_set) + len(val_set) == 20
     assert all(im.split == "train" for im in train_set)
+
+
+def test_harness_sets():
+    val = dataset_split(generate_dataset(200, Rng(9, 1)), "val")
+    probes, positives = harness_sets(val)
+    pos = [im for im in val if im.label == 1 and im.mask is not None]
+    neg = [im for im in val if im.label == 0]
+    assert [im.name for im in probes] == [im.name for im in pos[:4] + neg[:4]]
+    assert [im.name for im in positives] == [im.name for im in pos[:20]]
+    with pytest.raises(DataFormatError):
+        harness_sets(neg)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +277,27 @@ def test_probe_explains_deconvolve_nothing(walked_neurons):
     assert walked_neurons == []
 
 
+def test_each_probe_explained_once_per_checkpoint(monkeypatch):
+    net, images = small_trained_net()
+    val = dataset_split(images, "val")
+    vx = np.stack([im.image for im in val])
+    vy = np.array([im.label for im in val])
+    cfg = PipelineConfig(n=6, sigma=0.1, seed=5, n_top=2, layer_range=(2, 3))
+    real = evaluation.explain
+    explained = []
+
+    def counting(net, image, cfg, metrics):
+        explained.append(image)
+        return real(net, image, cfg, metrics=metrics)
+
+    monkeypatch.setattr(evaluation, "explain", counting)
+    probes = val[:2]
+    pts = convergence_study([(1, net), (2, net)], probes, vx, vy, cfg, Rng(16, 0),
+                            metrics=("act-sum", "act-precision"), secondary_epochs=2)
+    assert [id(x) for x in explained] == [id(im.image) for im in probes] * 2
+    assert [p.metric for p in pts] == ["act-sum", "act-precision"] * 2
+
+
 def test_convergence_needs_two_checkpoints():
     net, images = small_trained_net()
     with pytest.raises(UsageError):
@@ -290,8 +325,31 @@ def test_spearman_matches_scipy():
 # ---------------------------------------------------------------------------
 # report files
 
+def series(jaccards: dict[int, float]) -> list[TrajectoryPoint]:
+    return [TrajectoryPoint(e, m, 0.5, j, 0.5)
+            for e, j in jaccards.items() for m in ("act-out-corr", "act-precision")]
+
+
+def test_trend_leaves_epoch_zero_out():
+    with_null = agreement_trend(series({0: 0.9, 1: 0.1, 2: 0.2, 3: 0.4}))
+    assert with_null.untrained == 0.9
+    without = agreement_trend(series({1: 0.1, 2: 0.2, 3: 0.4}))
+    assert without.untrained is None
+    for trend in (with_null, without):
+        assert trend.spearman == pytest.approx(1.0)
+        assert (trend.first, trend.final) == (0.1, 0.4)
+        assert trend.delta == 0.4 - 0.1
+
+
+def test_trend_of_one_trained_epoch_is_flat():
+    trend = agreement_trend(series({0: 0.3, 5: 0.2}))
+    assert (trend.spearman, trend.delta) == (0.0, 0.0)
+    assert (trend.first, trend.final, trend.untrained) == (0.2, 0.2, 0.3)
+    with pytest.raises(UsageError):
+        agreement_trend(series({0: 0.3}))
+
+
 def test_csv_writers(tmp_path):
-    from patchlens.evaluation import TrajectoryPoint
     pts = [TrajectoryPoint(1, "act-out-corr", 0.5, 0.25, 0.75),
            TrajectoryPoint(1, "act-precision", 0.5, 0.25, 0.8)]
     tpath = tmp_path / "trajectory.csv"
