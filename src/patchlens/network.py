@@ -202,15 +202,13 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     each copy reads and writes whole output rows.
     """
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        n, c, h, w = x.shape
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     n, c, ho, wo = win.shape[:4]
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
-
-
-def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    out, _ = conv_forward_cols(x, layer)
-    return out
 
 
 def conv_forward_cols(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
@@ -360,9 +358,9 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
     for pos, layer in enumerate(net.layers[:-1]):
         x_in = x
         if isinstance(layer, ConvLayer):
-            x, cols = conv_forward_cols(x, layer)
-            cache = (x_in.shape, cols)
-            del cols  # else a walk without caches holds it through the next conv
+            # the patch matrix is dropped at once; training rebuilds it from x_in
+            x = conv_forward_cols(x, layer)[0]
+            cache = x_in
             conv_index += 1
             if conv_index in convs:
                 maps[conv_index] = x
@@ -507,7 +505,8 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
     grad[np.arange(n), yb] -= 1.0
     grad /= n
     grads = {}
-    for pos, layer, cache in reversed(caches):
+    while caches:  # popping frees each layer's cache once backward has passed it
+        pos, layer, cache = caches.pop()
         if isinstance(layer, DenseLayer):
             x_in = cache
             grads[pos] = (grad.T @ x_in, grad.sum(axis=0))
@@ -520,10 +519,12 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
         elif isinstance(layer, ReluLayer):
             grad = grad * cache
         elif isinstance(layer, ConvLayer):
-            x_shape, cols = cache
+            # rebuilt from the conv's input: the forward's patch matrix, bit for bit
+            cols = _im2col(cache, *layer.w.shape[2:], layer.stride, layer.pad)
             grads[pos] = conv_param_grad(grad, cols, layer)
+            del cols  # before conv_input_grad allocates
             if pos:  # the gradient w.r.t. the image itself is never read
-                grad = conv_input_grad(grad, layer, x_shape)
+                grad = conv_input_grad(grad, layer, cache.shape)
     return loss, grads
 
 

@@ -210,7 +210,7 @@ def run_gradcheck(n_seeds, eps=1e-3, probes_per_param=6):
     """
     from patchlens.network import (
         ConvLayer, DenseLayer, FlattenLayer, NetworkSpec, OutputLayer,
-        ReluLayer, conv_forward, loss_gradients,
+        ReluLayer, conv_forward_cols, loss_gradients,
     )
     from patchlens.tensor import Rng
 
@@ -230,7 +230,7 @@ def run_gradcheck(n_seeds, eps=1e-3, probes_per_param=6):
         # a probe moves any conv pre-activation by at most eps, so push every
         # cell at least 5*eps away from the relu kink before differencing
         for _ in range(100):
-            pre = conv_forward(xb, net.layers[0])
+            pre = conv_forward_cols(xb, net.layers[0])[0]
             near = np.unique(np.nonzero(np.abs(pre) < 5 * eps)[1])
             if near.size == 0:
                 break

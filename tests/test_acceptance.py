@@ -34,7 +34,7 @@ from patchlens.importance import (
 from patchlens.network import (
     ConvLayer,
     MaxPoolLayer,
-    conv_forward,
+    conv_forward_cols,
     conv_input_grad,
     evaluate_accuracy,
     maxpool_forward,
@@ -114,7 +114,7 @@ def test_numeric_identities():
         w = (r.split(6).uniform(0, 1, (co, ci, k, k)) - 0.5).astype(DTYPE)
         layer = ConvLayer(w, np.zeros(co, dtype=DTYPE), stride=stride, pad=pad)
         x = (r.split(7).uniform(0, 1, (1, ci, side, side)) - 0.2).astype(DTYPE)
-        out = conv_forward(x, layer)
+        out = conv_forward_cols(x, layer)[0]
         c = int(r.split(8).integers(0, co))
         y = np.zeros_like(out)
         y[:, c] = (r.split(9).uniform(0, 1, out.shape[2:]) - 0.5).astype(DTYPE)

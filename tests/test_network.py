@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,6 @@ from patchlens.network import (
     OutputLayer,
     ReluLayer,
     TrainConfig,
-    conv_forward,
     conv_forward_cols,
     conv_input_grad,
     conv_out_extent,
@@ -299,6 +301,23 @@ def test_train_runs_no_extra_forwards(conv_calls):
     assert conv_calls == ([4] * 7 + [4] * 7 + [2] * 7) * 2
 
 
+def test_training_step_holds_no_patch_matrices():
+    # a step that kept every conv's [N, C*kh*kw, Ho*Wo] patch matrix until
+    # backward would peak above their sum alone (about 50.6 MiB here)
+    net = reference_network(Rng(28, 0))
+    xb = Rng(29, 0).uniform(0, 1, (32, 3, 32, 32)).astype(DTYPE)
+    yb = np.arange(32) % 2
+    patch_bytes = sum(len(xb) * xb.itemsize * math.prod(net.layers[pos].w.shape[1:])
+                      * math.prod(net.out_shapes[pos][1:]) for pos in net.conv_positions)
+    tracemalloc.start()
+    try:
+        loss_gradients(net, xb, yb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < patch_bytes
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 3), st.integers(1, 2), st.integers(0, 1), st.integers(3, 9), st.integers(3, 9))
@@ -310,7 +329,7 @@ def test_batched_conv_kernels_match_per_sample_loops(seed, c, o, kh, kw, stride,
     layer = ConvLayer(r.split(1).uniform(-1, 1, (o, c, kh, kw)), r.split(2).uniform(-1, 1, (o,)),
                       stride=stride, pad=pad)
     out, cols = conv_forward_cols(x, layer)
-    assert np.array_equal(out, conv_forward(x, layer))
+    assert np.array_equal(out, conv_forward_cols(x, layer)[0])
     dout = r.split(3).uniform(-1, 1, out.shape)
     dx = conv_input_grad(dout, layer, x.shape)
     dw, db = conv_param_grad(dout, cols, layer)
