@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import DataFormatError, NumericError, UsageError
-from .evaluation import (convergence_study, dataset_split, generate_dataset,
+from .evaluation import (convergence_study, dataset_split, fmt, generate_dataset,
                          harness_sets, localization_study, patch_hits,
                          read_dataset, write_dataset, write_localization_csv,
                          write_report_text, write_trajectory_csv)
@@ -102,10 +102,6 @@ def _write_manifest(out_dir: str, run: str, args_echo: list[tuple[str, object]],
         fh.write("\n".join(lines) + "\n")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -142,7 +138,7 @@ def cmd_train(args) -> None:
                      os.path.join(ckpt_dir, "network.manifest"))
         train_acc = evaluate_accuracy(snapshot, x, y)
         val_acc = evaluate_accuracy(snapshot, val_x, val_y) if val_set else float("nan")
-        log.append(f"{epoch}\t{_fmt(train_acc)}\t{_fmt(val_acc)}\t{_fmt(loss)}")
+        log.append(f"{epoch}\t{fmt(train_acc)}\t{fmt(val_acc)}\t{fmt(loss)}")
     with open(os.path.join(out, "train_log.tsv"), "w") as fh:
         fh.write("\n".join(log) + "\n")
 
@@ -188,7 +184,7 @@ def cmd_explain(args) -> None:
             for rank_i, neuron in enumerate(ranked.layers[rec.layer], start=1):
                 rank_of[neuron] = rank_i
                 ranked_rows.append(f"{metric}\t{rec.layer}\t{rank_i}\t{neuron.channel}"
-                                   f"\t{_fmt(values[neuron.channel])}")
+                                   f"\t{fmt(values[neuron.channel])}")
         for layer, missing in sorted(ranked.shortfalls.items()):
             notes.append(f"{metric}: layer {layer} short {missing} of {cfg.n_top} neurons")
         patch_set = patch_sets[metric] = result.patches(metric)
@@ -218,7 +214,7 @@ def cmd_explain(args) -> None:
             patches = patch_sets[metric].patches
             if patches:
                 hits = patch_hits(patches, mask)
-                loc_rows.append(f"{metric}\t{_fmt(hits / len(patches))}\t{len(patches)}\t{hits}")
+                loc_rows.append(f"{metric}\t{fmt(hits / len(patches))}\t{len(patches)}\t{hits}")
             else:
                 loc_rows.append(f"{metric}\t-\t0\t0")
         with open(os.path.join(out, "localization.tsv"), "w") as fh:

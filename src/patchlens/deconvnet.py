@@ -2,7 +2,8 @@
 
 Starting from the recorded activation of a chosen channel (all sibling
 channels zeroed), the walk back to the input applies, per layer passed on
-the way down: unpool (values return to their recorded switch locations),
+the way down: unpool (values return to their recorded switch locations,
+summed where overlapping windows share a winner, as in training's backward),
 rectify (negatives clamped to zero), and filter (convolution with the
 transposed kernels, no bias). The chosen channels of one layer walk back
 together, one row per channel. The reconstruction's high-magnitude region
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, DeadPathError, UsageError
+from .errors import DeadPathError, UsageError
 from .importance import NeuronId, RankedSet
 from .network import (_CHUNK, ActivationTrace, ConvLayer, MaxPoolLayer,
-                      NetworkSpec, ReluLayer, conv_input_grad)
+                      NetworkSpec, ReluLayer, conv_input_grad, maxpool_backward)
 from .tensor import ensure_finite
 
 
@@ -39,25 +40,6 @@ class PatchSet:
     metric: str
     patches: list[Patch] = field(default_factory=list)
     dead: list[NeuronId] = field(default_factory=list)
-
-
-def unpool(pooled: np.ndarray, switches: np.ndarray, pre_shape) -> np.ndarray:
-    """Scatter pooled values to their recorded argmax cells, zeros elsewhere.
-
-    pooled is [C, h, w] or a stack [..., C, h, w] that shares one [C, h, w]
-    switch tensor; the result has the same leading axes over pre_shape.
-    """
-    c, h, w = pre_shape
-    if pooled.shape[-3:] != switches.shape:
-        raise UsageError(f"pooled shape {pooled.shape} does not match switches {switches.shape}")
-    flat_idx = switches.reshape(c, -1)
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= h * w):
-        raise DataFormatError(f"switch index outside pre-pool plane of {h}x{w}")
-    lead = pooled.shape[:-3]
-    values = pooled.reshape((-1,) + flat_idx.shape)
-    out = np.zeros((len(values), c, h * w), dtype=pooled.dtype)
-    out[:, np.arange(c)[:, None], flat_idx] = values
-    return out.reshape(lead + (c, h, w))
 
 
 def deconvolve_channels(net: NetworkSpec, trace: ActivationTrace, layer: int,
@@ -98,17 +80,14 @@ def deconvolve_channels(net: NetworkSpec, trace: ActivationTrace, layer: int,
                 switches = trace.switches.get(pos)
                 if switches is None:
                     raise UsageError(f"trace has no switches for the pool at layer position {pos}")
-                signal = unpool(signal, switches, net.in_shapes[pos])
+                # one query image's switches serve every row
+                signal = maxpool_backward(signal, np.broadcast_to(switches, signal.shape),
+                                          (len(chunk),) + tuple(net.in_shapes[pos]), below)
             else:
                 raise UsageError(f"cannot reverse through a {below.kind} layer below conv {layer}")
         ensure_finite(signal, "deconvolution reconstruction")
         out[c0:c0 + len(chunk)] = signal
     return out
-
-
-def deconvolve(net: NetworkSpec, trace: ActivationTrace, neuron: NeuronId) -> np.ndarray:
-    """Input-shaped reconstruction of one channel's recorded activation."""
-    return deconvolve_channels(net, trace, neuron.layer, [neuron.channel])[0]
 
 
 def extract_patch(image: np.ndarray, reconstruction: np.ndarray, neuron: NeuronId,

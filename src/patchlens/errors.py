@@ -21,9 +21,5 @@ class NumericError(PatchlensError):
     """Non-finite values, divergence, degenerate numeric conditions."""
 
 
-class DegenerateCorrelationError(NumericError):
-    """One of the two correlated sequences has zero variance."""
-
-
 class DeadPathError(NumericError):
     """A deconvolution reconstruction came back identically zero."""

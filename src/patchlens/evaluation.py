@@ -165,6 +165,10 @@ def read_dataset(data_dir) -> list[LabeledImage]:
                 label = int(label_s)
             except ValueError:
                 raise DataFormatError(f"{index}:{lineno}: bad label {label_s!r}") from None
+            if label not in (0, 1):
+                raise DataFormatError(f"{index}:{lineno}: label must be 0 or 1, got {label}")
+            if split not in ("train", "val"):
+                raise DataFormatError(f"{index}:{lineno}: split must be train or val, got {split!r}")
             image = read_ppm(os.path.join(data_dir, name + ".ppm"))
             mask = None
             if mask_name != "-":

@@ -564,13 +564,9 @@ def train(net: NetworkSpec, images, labels, cfg: TrainConfig, rng: Rng) -> Train
 
 
 def evaluate_accuracy(net: NetworkSpec, images, labels) -> float:
-    x = images if isinstance(images, np.ndarray) else np.stack([np.asarray(im, dtype=DTYPE) for im in images])
-    y = np.asarray(labels, dtype=np.int64)
-    correct = 0
-    for start in range(0, len(x), _CHUNK):
-        logits, _, _ = _walk(net, x[start:start + _CHUNK])
-        correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + _CHUNK]))
-    return correct / len(x)
+    """Share of images whose most probable class is their label."""
+    output = forward_batch(net, np.asarray(images, dtype=DTYPE), ()).output
+    return int(np.count_nonzero(np.argmax(output, axis=1) == np.asarray(labels))) / len(output)
 
 
 # ---------------------------------------------------------------------------

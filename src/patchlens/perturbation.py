@@ -7,10 +7,12 @@ not part of the batch.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UsageError
-from .tensor import DTYPE, Rng, gaussian_sample
+from .tensor import DTYPE, Rng
 
 
 def perturb_batch(image: np.ndarray, n: int, sigma: float, seed: int) -> np.ndarray:
@@ -23,11 +25,10 @@ def perturb_batch(image: np.ndarray, n: int, sigma: float, seed: int) -> np.ndar
     """
     if n < 2:
         raise UsageError(f"perturbation sample count must be >= 2, got {n}")
-    if not sigma > 0:
-        raise UsageError(f"noise sigma must be > 0, got {sigma}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise UsageError(f"noise sigma must be finite and > 0, got {sigma}")
     image = np.asarray(image, dtype=DTYPE)
     batch = np.empty((n,) + image.shape, dtype=DTYPE)
     for i in range(n):
-        noise = gaussian_sample(Rng(seed, i), 1.0, sigma, image.shape)
-        np.clip(image * noise, 0.0, 1.0, out=batch[i])
+        np.clip(image * Rng(seed, i).normal(1.0, sigma, image.shape), 0.0, 1.0, out=batch[i])
     return batch

@@ -10,6 +10,7 @@ caller that reads only the rankings deconvolves nothing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise UsageError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.lambda_threshold < 0:
-            raise UsageError(f"lambda must be >= 0, got {self.lambda_threshold}")
+        if not 0 <= self.lambda_threshold < math.inf:
+            raise UsageError(f"lambda must be finite and >= 0, got {self.lambda_threshold}")
         if self.n_top < 1:
             raise UsageError(f"top count must be >= 1, got {self.n_top}")
         lo, hi = self.layer_range

@@ -7,11 +7,9 @@ always reproduces the same values, on any platform, in any order of use.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DegenerateCorrelationError, NumericError
+from .errors import NumericError
 
 DTYPE = np.float32
 
@@ -57,22 +55,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def gaussian_sample(rng: Rng, mean: float, stddev: float, shape) -> np.ndarray:
-    """I.i.d. Normal(mean, stddev^2) draws as a float32 tensor.
-
-    Consumes state from rng. stddev may be zero (degenerate point mass)
-    but never negative.
-    """
-    if stddev < 0:
-        raise ValueError(f"stddev must be nonnegative, got {stddev}")
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
-    if len(shape) == 0 or any(s <= 0 for s in shape):
-        raise ValueError(f"shape must be non-empty with positive extents, got {shape}")
-    if not (math.isfinite(mean) and math.isfinite(stddev)):
-        raise NumericError("gaussian_sample requires finite mean and stddev")
-    return rng.normal(mean, stddev, shape)
-
-
 def tensor_sum(t: np.ndarray, axis=None):
     """Sum over all cells, or an array of sums over the given axes,
     accumulated in float64."""
@@ -101,9 +83,9 @@ def variance(t: np.ndarray, axis=None):
 def pearson_abs_columns(x, y) -> np.ndarray:
     """|Pearson r| between each column of x [N, K] and y [N], in [0, 1].
 
-    A column is NaN when it or y is constant. Each column's means and dot
-    products are those of the column alone, so the result matches
-    pearson_abs on every column bit for bit.
+    A column is NaN when it or y is constant, which callers treat as
+    degenerate. Each column's means and dot products are those of the
+    column alone, so a column scores bit for bit as in a one-column call.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64).ravel()
@@ -120,18 +102,6 @@ def pearson_abs_columns(x, y) -> np.ndarray:
         r = np.abs(np.vecdot(dx, dy) / np.sqrt(sxx * syy))
     r[(sxx == 0.0) | (syy == 0.0)] = np.nan
     return np.minimum(r, 1.0)
-
-
-def pearson_abs(x, y) -> float:
-    """Magnitude of the Pearson correlation coefficient, in [0, 1].
-
-    Raises DegenerateCorrelationError when either sequence is constant;
-    callers decide how degenerate neurons rank.
-    """
-    r = float(pearson_abs_columns(np.ravel(x)[:, None], y)[0])
-    if math.isnan(r):
-        raise DegenerateCorrelationError("zero-variance sequence in correlation")
-    return r
 
 
 def ensure_finite(arr: np.ndarray, context: str) -> None:

@@ -37,13 +37,14 @@ from patchlens.network import (
     conv_forward_cols,
     conv_input_grad,
     evaluate_accuracy,
+    maxpool_backward,
     maxpool_forward,
     reference_network,
     train,
     TrainConfig,
 )
 from patchlens.pipeline import PipelineConfig
-from patchlens.tensor import DTYPE, Rng, pearson_abs
+from patchlens.tensor import DTYPE, Rng, pearson_abs_columns
 
 import conftest
 from oracles import (
@@ -129,7 +130,7 @@ def test_numeric_identities():
         r = Rng(6000 + i, 0)
         xs = np.asarray(r.uniform(0, 1, (40,)), dtype=DTYPE)
         ys = np.asarray(r.split(1).uniform(0, 1, (40,)), dtype=DTYPE)
-        got = pearson_abs(xs, ys)
+        got = pearson_abs_columns(xs[:, None], ys)[0]
         want = two_pass_pearson_abs(xs.tolist(), ys.tolist())
         pearson_worst = max(pearson_worst, abs(got - want))
         m = r.split(2).uniform(0, 1, (1, 6, 6)).astype(DTYPE)
@@ -161,8 +162,7 @@ def test_structural_invariants():
         want_pool, want_arg = naive_maxpool(x[0], 2, 2)
         assert np.array_equal(pooled[0], want_pool.astype(DTYPE))
         assert np.array_equal(switches[0], want_arg)
-        from patchlens.deconvnet import unpool
-        up = unpool(pooled[0], switches[0], (2, 8, 8))
+        up = maxpool_backward(pooled, switches, x.shape, layer)[0]
         assert np.count_nonzero(up) <= pooled[0].size
         nz = np.nonzero(up)
         for ch, row, col in zip(*nz):

@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -252,6 +253,8 @@ def test_usage_errors(tmp_path, trained):
     ["--top", "0"],
     ["--n", "1"],
     ["--sigma", "0"],
+    ["--sigma", "inf"],
+    ["--lambda", "nan"],
 ])
 def test_bad_explain_input_fails_before_any_forward(trained, tmp_path, conv_calls, extra):
     assert main(explain_args(trained, tmp_path, extra)) == 1
@@ -262,6 +265,23 @@ def test_baseline_metrics_need_no_batch(trained, tmp_path, conv_calls):
     rc = main(explain_args(trained, tmp_path, ["--metric", "act-sum,weight-var", "--n", "1"]))
     assert rc == 0
     assert conv_calls == [1] * 7  # the query image through the reference net's 7 convs
+
+
+@pytest.mark.parametrize("split, field, value", [
+    ("train", 1, "7"),
+    ("val", 1, "7"),
+    ("val", 2, "vall"),
+])
+def test_bad_dataset_row_is_a_data_error(trained, tmp_path, capsys, split, field, value):
+    data = tmp_path / "data"
+    shutil.copytree(trained / "dataset", data)
+    rows = [row.split("\t") for row in (data / "labels.tsv").read_text().strip().split("\n")]
+    lineno = next(i for i, row in enumerate(rows, 1) if row[2] == split)
+    rows[lineno - 1][field] = value
+    (data / "labels.tsv").write_text("\n".join("\t".join(row) for row in rows) + "\n")
+    rc = main(["train", "--data", str(data), "--epochs", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"labels.tsv:{lineno}: " in capsys.readouterr().err
 
 
 def test_missing_weights_exit_code(trained, tmp_path):

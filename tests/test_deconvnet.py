@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from patchlens.deconvnet import (
     Patch,
-    deconvolve,
     deconvolve_channels,
     extract_patch,
     extract_top_patches,
-    unpool,
 )
-from patchlens.errors import DataFormatError, DeadPathError, UsageError
+from patchlens.errors import DeadPathError, UsageError
 from patchlens.importance import NeuronId, rank, score_neurons
 from patchlens.network import (
     ConvLayer,
@@ -23,10 +21,13 @@ from patchlens.network import (
     conv_forward_cols,
     conv_input_grad,
     forward,
+    maxpool_backward,
     maxpool_forward,
     reference_network,
 )
 from patchlens.tensor import DTYPE, Rng
+
+from oracles import naive_maxpool
 
 
 def head(in_features, classes=2):
@@ -52,7 +53,7 @@ def test_identity_kernel_reconstruction():
     net = identity_net()
     img = Rng(41, 0).uniform(0, 1, (2, 4, 4)).astype(DTYPE)
     trace = forward(net, img)
-    rec = deconvolve(net, trace, NeuronId(1, 1))
+    rec = deconvolve_channels(net, trace, 1, [1])[0]
     want = np.zeros_like(img)
     want[1] = trace.conv_acts[1][1]
     assert np.array_equal(rec, want)
@@ -63,7 +64,7 @@ def test_dead_channel_reconstructs_zero():
     img = np.zeros((2, 4, 4), dtype=DTYPE)
     img[0] = 0.5  # channel 1 stays dark
     trace = forward(net, img)
-    rec = deconvolve(net, trace, NeuronId(1, 1))
+    rec = deconvolve_channels(net, trace, 1, [1])[0]
     assert not rec.any()
 
 
@@ -97,11 +98,11 @@ def test_deconvolve_ignores_other_channels():
     net = identity_net()
     img = Rng(42, 0).uniform(0, 1, (2, 4, 4)).astype(DTYPE)
     trace = forward(net, img)
-    rec = deconvolve(net, trace, NeuronId(1, 0))
+    rec = deconvolve_channels(net, trace, 1, [0])[0]
     tampered = forward(net, img)
     tampered.conv_acts[1] = tampered.conv_acts[1].copy()
     tampered.conv_acts[1][1] = 99.0  # garbage in the unused channel
-    rec2 = deconvolve(net, tampered, NeuronId(1, 0))
+    rec2 = deconvolve_channels(net, tampered, 1, [0])[0]
     assert rec.tobytes() == rec2.tobytes()
 
 
@@ -109,9 +110,9 @@ def test_deconvolve_requires_valid_neuron():
     net = identity_net()
     trace = forward(net, np.ones((2, 4, 4), dtype=DTYPE))
     with pytest.raises(UsageError):
-        deconvolve(net, trace, NeuronId(5, 0))
+        deconvolve_channels(net, trace, 5, [0])[0]
     with pytest.raises(UsageError):
-        deconvolve(net, trace, NeuronId(1, 9))
+        deconvolve_channels(net, trace, 1, [9])[0]
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 11])
@@ -126,7 +127,7 @@ def test_batched_walk_matches_single_neuron(k):
         batched = deconvolve_channels(net, trace, layer, channels)
         assert batched.shape == (k, 3, 32, 32)
         for row, ch in zip(batched, channels):
-            single = deconvolve(net, trace, NeuronId(layer, ch))
+            single = deconvolve_channels(net, trace, layer, [ch])[0]
             assert row.tobytes() == single.tobytes()
             live += bool(row.any())
     assert live >= net.conv_count // 2
@@ -142,19 +143,21 @@ def test_batched_walk_requires_valid_channels():
 
 
 # ---------------------------------------------------------------------------
-# unpool
+# unpool: the reverse pass scatters through maxpool_backward
 
 def test_pool_unpool_hand():
     x = np.array([[1, 2], [3, 4]], dtype=DTYPE).reshape(1, 1, 2, 2)
-    pooled, switches = maxpool_forward(x, MaxPoolLayer(2, 2))
-    up = unpool(pooled[0], switches[0], (1, 2, 2))
+    layer = MaxPoolLayer(2, 2)
+    pooled, switches = maxpool_forward(x, layer)
+    up = maxpool_backward(pooled, switches, x.shape, layer)
     assert up.reshape(-1).tolist() == [0.0, 0.0, 0.0, 4.0]
 
 
 def test_unpool_zero_input():
     x = Rng(43, 0).uniform(0, 1, (1, 1, 4, 4)).astype(DTYPE)
-    pooled, switches = maxpool_forward(x, MaxPoolLayer(2, 2))
-    up = unpool(np.zeros_like(pooled[0]), switches[0], (1, 4, 4))
+    layer = MaxPoolLayer(2, 2)
+    pooled, switches = maxpool_forward(x, layer)
+    up = maxpool_backward(np.zeros_like(pooled), switches, x.shape, layer)
     assert not up.any()
 
 
@@ -164,7 +167,7 @@ def test_unpool_support_and_values(seed):
     x = Rng(seed, 0).uniform(0, 1, (1, 2, 8, 8)).astype(DTYPE)
     layer = MaxPoolLayer(2, 2)
     pooled, switches = maxpool_forward(x, layer)
-    up = unpool(pooled[0], switches[0], (2, 8, 8))
+    up = maxpool_backward(pooled, switches, x.shape, layer)[0]
     assert np.count_nonzero(up) <= pooled[0].size
     nz = np.nonzero(up)
     for ch, r, c in zip(*nz):
@@ -175,20 +178,38 @@ def test_unpool_support_and_values(seed):
 
 
 def test_batched_unpool_matches_per_item():
+    # the reverse pass broadcasts one image's [C, h, w] switches over K rows
+    layer = MaxPoolLayer(2, 2)
     x = Rng(50, 0).uniform(0, 1, (1, 3, 8, 8)).astype(DTYPE)
-    _, switches = maxpool_forward(x, MaxPoolLayer(2, 2))
-    stack = Rng(50, 1).uniform(-1, 1, (2, 5, 3, 4, 4)).astype(DTYPE)
-    up = unpool(stack, switches[0], (3, 8, 8))
-    assert up.shape == (2, 5, 3, 8, 8)
-    for idx in np.ndindex(2, 5):
-        assert up[idx].tobytes() == unpool(stack[idx], switches[0], (3, 8, 8)).tobytes()
+    _, switches = maxpool_forward(x, layer)
+    stack = Rng(50, 1).uniform(-1, 1, (10, 3, 4, 4)).astype(DTYPE)
+    up = maxpool_backward(stack, np.broadcast_to(switches, stack.shape), (10, 3, 8, 8), layer)
+    assert up.shape == (10, 3, 8, 8)
+    for k in range(10):
+        assert up[k].tobytes() == maxpool_backward(stack[k:k + 1], switches, x.shape, layer)[0].tobytes()
 
 
-def test_unpool_rejects_bad_switches():
-    pooled = np.ones((1, 2, 2), dtype=DTYPE)
-    switches = np.full((1, 2, 2), 99, dtype=np.int32)
-    with pytest.raises(DataFormatError):
-        unpool(pooled, switches, (1, 4, 4))
+def test_overlapping_pool_sums_a_cell_that_wins_two_windows():
+    # conv(1x1 identity) -> relu -> 3x3/2 pool -> conv(1x1 identity) -> relu:
+    # the reconstruction of a conv-2 channel is its pooled map scattered
+    # back to the winning cells, where a cell that wins several windows
+    # carries the sum of their values
+    eye = np.eye(2, dtype=DTYPE).reshape(2, 2, 1, 1)
+    net = NetworkSpec((2, 5, 5), [
+        ConvLayer(eye.copy(), np.zeros(2, dtype=DTYPE)), ReluLayer(), MaxPoolLayer(3, 2),
+        ConvLayer(eye.copy(), np.zeros(2, dtype=DTYPE)), ReluLayer(), *head(2 * 2 * 2),
+    ])
+    img = Rng(51, 0).uniform(0, 1, (2, 5, 5)).astype(DTYPE)
+    img[1, 2, 1] = 2.0  # the largest cell of both windows over rows 0..2 and 2..4, cols 0..2
+    trace = forward(net, img)
+    pooled, argmax = naive_maxpool(img, 3, 2)
+    recs = deconvolve_channels(net, trace, 2, [0, 1])
+    for ch in range(2):
+        want = np.zeros((2, 25), dtype=DTYPE)
+        for value, cell in zip(pooled[ch].ravel(), argmax[ch].ravel()):
+            want[ch, cell] += value
+        assert np.array_equal(recs[ch], want.reshape(2, 5, 5))
+    assert recs[1, 1, 2, 1] == 4.0
 
 
 # ---------------------------------------------------------------------------

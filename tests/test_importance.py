@@ -30,7 +30,7 @@ from patchlens.network import (
     ReluLayer,
 )
 from patchlens.pipeline import PipelineConfig
-from patchlens.tensor import DTYPE, Rng, pearson_abs
+from patchlens.tensor import DTYPE, Rng, pearson_abs_columns
 from oracles import fsum_total, naive_score_neurons, two_pass_variance
 
 
@@ -180,7 +180,7 @@ def test_correlation_matches_pearson_oracle():
     outs = np.asarray(r.split(1).uniform(0, 1, (50,)), dtype=DTYPE).tolist()
     batch = corr_batch(sums, outs)
     got = score_correlation(batch, 1, ref_class=1).values[0]
-    assert got == pytest.approx(pearson_abs(sums, outs), abs=1e-12)
+    assert got == pytest.approx(pearson_abs_columns(np.asarray(sums)[:, None], outs)[0], abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

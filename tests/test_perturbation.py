@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from patchlens.errors import UsageError
 from patchlens.perturbation import perturb_batch
-from patchlens.tensor import DTYPE, Rng, gaussian_sample
+from patchlens.tensor import DTYPE, Rng
 
 
 def demo_image(seed=0, shape=(3, 8, 8)):
@@ -41,7 +43,7 @@ def test_sample_i_is_stream_i():
     img = demo_image(5)
     batch = perturb_batch(img, 6, 0.1, 99)
     for i, s in enumerate(batch):
-        noise = gaussian_sample(Rng(99, i), 1.0, 0.1, img.shape)
+        noise = Rng(99, i).normal(1.0, 0.1, img.shape)
         want = np.clip(img * noise, 0.0, 1.0)
         assert s.tobytes() == want.tobytes()
 
@@ -76,3 +78,6 @@ def test_config_rejects_bad_values():
         perturb_batch(img, 50, 0.0, 0)
     with pytest.raises(UsageError):
         perturb_batch(img, 50, -0.1, 0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(UsageError):
+            perturb_batch(img, 50, bad, 0)
