@@ -60,10 +60,10 @@ def deconvolve_channels(net: NetworkSpec, trace: ActivationTrace, layer: int,
         if not 0 <= ch < acts.shape[0]:
             raise UsageError(f"channel {ch} outside layer {layer}'s {acts.shape[0]} channels")
 
-    # The recorded activation sits after the conv's relu when one follows.
+    # The walk starts at the conv itself: the recorded activation already sits
+    # after the conv's relu when one follows, so rectifying it again would
+    # only copy it.
     start = net.conv_position(layer)
-    if start + 1 < len(net.layers) and isinstance(net.layers[start + 1], ReluLayer):
-        start += 1
 
     out = np.empty((len(channels),) + net.input_shape, dtype=acts.dtype)
     for c0 in range(0, len(channels), _CHUNK):

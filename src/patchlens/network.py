@@ -194,6 +194,17 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 # layer math (batched; dtype follows the input)
 
+# Batched walks run 8 images at a time, and every conv kernel that builds a
+# patch matrix builds it for at most 8 images, training's included. Conv
+# maps and gradients do not depend on the chunk (numpy runs one GEMM per
+# image either way). Measured on the 50-image perturbation batch (2-core
+# host, one BLAS thread): chunks of 8 peak at 14.3 MiB under tracemalloc, no
+# more than walking image by image (14.5 MiB), and run 1.2-1.7x faster;
+# chunks of 16 ran at most 15% faster than 8 but peaked at 20 MiB, one
+# 50-image stack at 35 MiB.
+_CHUNK = 8
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """[N, C, H, W] -> [N, C*kh*kw, Ho*Wo] channel-major patch matrix.
 
@@ -222,42 +233,53 @@ def conv_forward_cols(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.n
     return out.reshape(n, o, ho, wo), cols
 
 
-def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Add each (dy, dx) block of a [N, kh*kw*C, Ho*Wo] matrix back onto the
-    image grid; the adjoint of _im2col with rows ordered (dy, dx, c), so each
-    add reads one contiguous [C, Ho, Wo] block per image."""
-    n, c, h, w = x_shape
-    ho = conv_out_extent(h, kh, stride, pad)
-    wo = conv_out_extent(w, kw, stride, pad)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, kh, kw, c, ho, wo)
-    for dy in range(kh):
-        for dx in range(kw):
-            dxp[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride] += d6[:, dy, dx]
-    if pad:
-        dxp = dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
-
-
 def conv_input_grad(dout: np.ndarray, layer: ConvLayer, x_shape) -> np.ndarray:
     """Map an output-shaped tensor back through the transposed kernels (no bias).
 
     This is both the training gradient w.r.t. the conv input and the
-    deconvolution "filter" stage.
+    deconvolution "filter" stage. dout is laid out on rows of the padded
+    input width Wp, zeros past Wo, so output cell (i, j) sits at i*Wp + j and
+    feeds cell stride*(i*Wp + j) + dy*Wp + dx of the flat padded image
+    through kernel tap (dy, dx). Each tap's [C, O] slice times that dout thus
+    adds into one strided slice of the flat image, tap by tap in (dy, dx)
+    order; the zero columns add nothing. No [N, kh*kw*C, Ho*Wo] column
+    matrix is built.
     """
     o, ci, kh, kw = layer.w.shape
-    n = dout.shape[0]
-    wt = layer.w.transpose(2, 3, 1, 0).reshape(kh * kw * ci, o).astype(dout.dtype, copy=False)
-    dcols = wt @ dout.reshape(n, o, -1)
-    return _col2im(dcols, (n,) + tuple(x_shape[1:]), kh, kw, layer.stride, layer.pad)
+    n, _, ho, wo = dout.shape
+    h, w = x_shape[2:]
+    stride, pad = layer.stride, layer.pad
+    hp, wp = h + 2 * pad, w + 2 * pad
+    rows = np.zeros((n, o, ho, wp), dtype=dout.dtype)
+    rows[..., :wo] = dout
+    rows = rows.reshape(n, o, ho * wp)
+    taps = np.ascontiguousarray(layer.w.transpose(2, 3, 1, 0), dtype=dout.dtype)  # [kh, kw, C, O]
+    prod = np.empty((n, ci, ho * wp), dtype=dout.dtype)
+    # `stride` spare rows below the image take the zero columns' spill
+    flat = np.zeros((n, ci, (hp + stride) * wp), dtype=dout.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            np.matmul(taps[dy, dx], rows, out=prod)
+            start = dy * wp + dx
+            flat[:, :, start:start + stride * ho * wp:stride] += prod
+    return flat[:, :, :hp * wp].reshape(n, ci, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
 
-def conv_param_grad(dout: np.ndarray, cols: np.ndarray, layer: ConvLayer):
+def conv_param_grad(dout: np.ndarray, x: np.ndarray, layer: ConvLayer):
+    """(dw, db) of the conv that mapped x to an output with gradient dout.
+
+    The patch matrix is built _CHUNK images at a time from the conv's input.
+    Each image's [C*kh*kw, O] product lands in one [N, C*kh*kw, O] array,
+    summed over images once; this operand order measured faster than
+    dout @ cols^T at the reference shapes.
+    """
     n, o = dout.shape[:2]
     dmat = dout.reshape(n, o, -1)
-    # per-image [C*kh*kw, O] products summed over the batch; this operand
-    # order measured faster than dout @ cols^T at the reference shapes
-    dw = (cols @ dmat.transpose(0, 2, 1)).sum(axis=0).T.reshape(layer.w.shape)
+    prods = np.empty((n, layer.w[0].size, o), dtype=dout.dtype)
+    for start in range(0, n, _CHUNK):
+        cols = _im2col(x[start:start + _CHUNK], *layer.w.shape[2:], layer.stride, layer.pad)
+        np.matmul(cols, dmat[start:start + _CHUNK].transpose(0, 2, 1), out=prods[start:start + _CHUNK])
+    dw = prods.sum(axis=0).T.reshape(layer.w.shape)
     db = dmat.sum(axis=(0, 2))
     return dw, db
 
@@ -331,15 +353,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward walks
 
-# Batched walks run 8 images at a time. Conv maps do not depend on the chunk
-# (numpy runs one GEMM per image either way). Measured on the 50-image
-# perturbation batch (2-core host, one BLAS thread): chunks of 8 peak at
-# 14.3 MiB under tracemalloc, no more than walking image by image (14.5 MiB),
-# and run 1.2-1.7x faster; chunks of 16 ran at most 15% faster than 8 but
-# peaked at 20 MiB, one 50-image stack at 35 MiB.
-_CHUNK = 8
-
-
 def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
           caches: list | None = None):
     """Logits of the [N, C, H, W] batch x, recording only what the caller reads.
@@ -358,8 +371,15 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
     for pos, layer in enumerate(net.layers[:-1]):
         x_in = x
         if isinstance(layer, ConvLayer):
-            # the patch matrix is dropped at once; training rebuilds it from x_in
-            x = conv_forward_cols(x, layer)[0]
+            # One chunk's patch matrix at a time; training rebuilds them from
+            # x_in. A one-chunk batch keeps the kernel's own output, so the
+            # batched walks hold no second copy of it.
+            if len(x_in) <= _CHUNK:
+                x = conv_forward_cols(x_in, layer)[0]
+            else:
+                x = np.empty((len(x_in),) + net.out_shapes[pos], dtype=x_in.dtype)
+                for i in range(0, len(x_in), _CHUNK):
+                    x[i:i + _CHUNK] = conv_forward_cols(x_in[i:i + _CHUNK], layer)[0]
             cache = x_in
             conv_index += 1
             if conv_index in convs:
@@ -519,10 +539,7 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
         elif isinstance(layer, ReluLayer):
             grad = grad * cache
         elif isinstance(layer, ConvLayer):
-            # rebuilt from the conv's input: the forward's patch matrix, bit for bit
-            cols = _im2col(cache, *layer.w.shape[2:], layer.stride, layer.pad)
-            grads[pos] = conv_param_grad(grad, cols, layer)
-            del cols  # before conv_input_grad allocates
+            grads[pos] = conv_param_grad(grad, cache, layer)
             if pos:  # the gradient w.r.t. the image itself is never read
                 grad = conv_input_grad(grad, layer, cache.shape)
     return loss, grads

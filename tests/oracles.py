@@ -48,6 +48,23 @@ def naive_conv_input_grad(dout, w, x_shape, stride=1, pad=0):
     return dx[:, pad:pad + h, pad:pad + wd]
 
 
+def col2im_conv_input_grad(dout, layer, x_shape):
+    """conv_input_grad as one [N, kh*kw*C, Ho*Wo] column matrix folded back
+    onto the padded image tap by tap: the column-matrix kernel the program
+    ran before its per-tap one, which must match it bit for bit."""
+    o, c, kh, kw = layer.w.shape
+    n, _, ho, wo = dout.shape
+    h, w = x_shape[2:]
+    s, pad = layer.stride, layer.pad
+    wt = layer.w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o).astype(dout.dtype, copy=False)
+    d6 = (wt @ dout.reshape(n, o, -1)).reshape(n, kh, kw, c, ho, wo)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dout.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            dxp[:, :, dy:dy + ho * s:s, dx:dx + wo * s:s] += d6[:, dy, dx]
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
 def naive_conv_param_grad(dout, x, kshape, stride=1, pad=0):
     """(dw, db) of naive_conv for one sample. dout: [O,Ho,Wo], x: [C,H,W]."""
     dout = np.asarray(dout, dtype=np.float64)

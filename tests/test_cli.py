@@ -35,7 +35,7 @@ def trained(tmp_path_factory):
 
 def positive_val_image(trained):
     lines = (trained / "dataset" / "labels.tsv").read_text().strip().split("\n")
-    for line in lines[1:]:
+    for line in lines:  # labels.tsv has no header row
         name, label, split, mask = line.split("\t")
         if label == "1" and split == "val" and mask != "-":
             return (trained / "dataset" / f"{name}.ppm",

@@ -33,8 +33,8 @@ from patchlens.network import (
     train,
 )
 from patchlens.tensor import DTYPE, Rng
-from oracles import (naive_conv, naive_conv_input_grad, naive_conv_param_grad,
-                     naive_maxpool, networks_equal, run_gradcheck)
+from oracles import (col2im_conv_input_grad, naive_conv, naive_conv_input_grad,
+                     naive_conv_param_grad, naive_maxpool, networks_equal, run_gradcheck)
 
 
 def tiny_head(in_features, classes=2):
@@ -301,21 +301,36 @@ def test_train_runs_no_extra_forwards(conv_calls):
     assert conv_calls == ([4] * 7 + [4] * 7 + [2] * 7) * 2
 
 
-def test_training_step_holds_no_patch_matrices():
-    # a step that kept every conv's [N, C*kh*kw, Ho*Wo] patch matrix until
-    # backward would peak above their sum alone (about 50.6 MiB here)
+def _step_peak_and_patch_bytes():
+    """tracemalloc peak of a 32-image reference-net training step, and the
+    bytes of each conv's whole-batch [N, C*kh*kw, Ho*Wo] patch matrix."""
     net = reference_network(Rng(28, 0))
     xb = Rng(29, 0).uniform(0, 1, (32, 3, 32, 32)).astype(DTYPE)
     yb = np.arange(32) % 2
-    patch_bytes = sum(len(xb) * xb.itemsize * math.prod(net.layers[pos].w.shape[1:])
-                      * math.prod(net.out_shapes[pos][1:]) for pos in net.conv_positions)
+    patch_bytes = [len(xb) * xb.itemsize * math.prod(net.layers[pos].w.shape[1:])
+                   * math.prod(net.out_shapes[pos][1:]) for pos in net.conv_positions]
     tracemalloc.start()
     try:
         loss_gradients(net, xb, yb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < patch_bytes
+    return peak, patch_bytes
+
+
+def test_training_step_holds_no_patch_matrices():
+    # a step that kept every conv's patch matrix until backward would peak
+    # above their sum alone (about 50.6 MiB here)
+    peak, patch_bytes = _step_peak_and_patch_bytes()
+    assert peak < sum(patch_bytes)
+
+
+def test_training_step_builds_no_whole_batch_patch_matrix():
+    # the largest conv's patch matrix over the whole batch is 18.0 MiB; the
+    # kernels build patch matrices a chunk at a time and input gradients a
+    # kernel tap at a time
+    peak, patch_bytes = _step_peak_and_patch_bytes()
+    assert peak < max(patch_bytes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,11 +343,11 @@ def test_batched_conv_kernels_match_per_sample_loops(seed, c, o, kh, kw, stride,
     x = r.split(0).uniform(-1, 1, (3, c, h, w))
     layer = ConvLayer(r.split(1).uniform(-1, 1, (o, c, kh, kw)), r.split(2).uniform(-1, 1, (o,)),
                       stride=stride, pad=pad)
-    out, cols = conv_forward_cols(x, layer)
+    out = conv_forward_cols(x, layer)[0]
     assert np.array_equal(out, conv_forward_cols(x, layer)[0])
     dout = r.split(3).uniform(-1, 1, out.shape)
     dx = conv_input_grad(dout, layer, x.shape)
-    dw, db = conv_param_grad(dout, cols, layer)
+    dw, db = conv_param_grad(dout, x, layer)
     assert dx.shape == x.shape and dw.shape == layer.w.shape and db.shape == layer.b.shape
     want_dw, want_db = np.zeros(layer.w.shape), np.zeros(o)
     for n in range(3):
@@ -344,6 +359,49 @@ def test_batched_conv_kernels_match_per_sample_loops(seed, c, o, kh, kw, stride,
         want_db += sample_db
     assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
     assert np.allclose(db, want_db, rtol=0, atol=1e-12)
+    # In float32, as the program runs, the per-tap input gradient is the
+    # column-matrix one bit for bit. Not for a one-cell output: numpy runs
+    # that kernel's [kh*kw*C, O] @ [O, 1] product as a matrix-vector product,
+    # which rounds differently from the per-tap matrix products.
+    if out.shape[2] * out.shape[3] > 1:
+        layer32 = ConvLayer(layer.w.astype(np.float32), layer.b.astype(np.float32), stride=stride, pad=pad)
+        dout32 = dout.astype(np.float32)
+        assert np.array_equal(conv_input_grad(dout32, layer32, x.shape),
+                              col2im_conv_input_grad(dout32, layer32, x.shape))
+
+
+def _reference_conv_shapes():
+    """(layer, input shape, output shape) of each distinct conv of the
+    reference net."""
+    net = reference_network(Rng(31, 0))
+    shapes = {}
+    for pos in net.conv_positions:
+        shapes.setdefault((net.layers[pos].w.shape, net.in_shapes[pos]),
+                          (net.layers[pos], net.in_shapes[pos], net.out_shapes[pos]))
+    return list(shapes.values())
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 32])
+def test_input_grad_matches_column_matrix_kernel(n):
+    shapes = _reference_conv_shapes()
+    assert len(shapes) == 6
+    for k, (layer, in_shape, out_shape) in enumerate(shapes):
+        dout = Rng(32, k).normal(0, 1, (n,) + out_shape).astype(DTYPE)
+        x_shape = (n,) + in_shape
+        assert np.array_equal(conv_input_grad(dout, layer, x_shape), col2im_conv_input_grad(dout, layer, x_shape))
+
+
+@pytest.mark.parametrize("n", [11, 32])
+def test_param_grad_matches_whole_batch_patch_matrix(n):
+    # 11 images leave a last chunk of 3
+    for k, (layer, in_shape, _) in enumerate(_reference_conv_shapes()):
+        x = Rng(33, k).uniform(-1, 1, (n,) + in_shape).astype(DTYPE)
+        out, cols = conv_forward_cols(x, layer)
+        dout = Rng(34, k).normal(0, 1, out.shape).astype(DTYPE)
+        dmat = dout.reshape(n, layer.w.shape[0], -1)
+        dw, db = conv_param_grad(dout, x, layer)
+        assert np.array_equal(dw, (cols @ dmat.transpose(0, 2, 1)).sum(axis=0).T.reshape(layer.w.shape))
+        assert np.array_equal(db, dmat.sum(axis=(0, 2)))
 
 
 @settings(max_examples=40, deadline=None)
