@@ -1,13 +1,15 @@
 """Reverse pass from conv channels back to pixel space, and patch cutting.
 
 Starting from the recorded activation of a chosen channel (all sibling
-channels zeroed), the walk back to the input applies, per layer passed on
-the way down: unpool (values return to their recorded switch locations,
-summed where overlapping windows share a winner, as in training's backward),
-rectify (negatives clamped to zero), and filter (convolution with the
-transposed kernels, no bias). The chosen channels of one layer walk back
-together, one row per channel. The reconstruction's high-magnitude region
-then selects a rectangular crop of the original image.
+channels zeroed), the reverse pass is the network's one reverse walk, given
+a record that holds the query trace's max-pool switches and no relu masks.
+So per layer passed on the way down it applies: unpool (values return to
+their recorded switch locations, summed where overlapping windows share a
+winner, as in training's backward), rectify (with no mask recorded, a relu
+clamps negatives to zero), and filter (convolution with the transposed
+kernels, no bias). The chosen channels of one layer walk back together, one
+row per channel. The reconstruction's high-magnitude region then selects a
+rectangular crop of the original image.
 """
 from __future__ import annotations
 
@@ -17,8 +19,7 @@ import numpy as np
 
 from .errors import DeadPathError, UsageError
 from .importance import NeuronId, RankedSet
-from .network import (_CHUNK, ActivationTrace, ConvLayer, MaxPoolLayer,
-                      NetworkSpec, ReluLayer, conv_input_grad, maxpool_backward)
+from .network import _CHUNK, ActivationTrace, MaxPoolLayer, NetworkSpec, _walk_back
 from .tensor import ensure_finite
 
 
@@ -64,27 +65,20 @@ def deconvolve_channels(net: NetworkSpec, trace: ActivationTrace, layer: int,
     # after the conv's relu when one follows, so rectifying it again would
     # only copy it.
     start = net.conv_position(layer)
+    for pos in range(start):
+        if isinstance(net.layers[pos], MaxPoolLayer) and pos not in trace.switches:
+            raise UsageError(f"trace has no switches for the pool at layer position {pos}")
 
     out = np.empty((len(channels),) + net.input_shape, dtype=acts.dtype)
     for c0 in range(0, len(channels), _CHUNK):
         chunk = channels[c0:c0 + _CHUNK]
         signal = np.zeros((len(chunk),) + acts.shape, dtype=acts.dtype)
         signal[np.arange(len(chunk)), chunk] = acts[chunk]
-        for pos in range(start, -1, -1):
-            below = net.layers[pos]
-            if isinstance(below, ConvLayer):
-                signal = conv_input_grad(signal, below, (len(chunk),) + tuple(net.in_shapes[pos]))
-            elif isinstance(below, ReluLayer):
-                signal = np.maximum(signal, 0)
-            elif isinstance(below, MaxPoolLayer):
-                switches = trace.switches.get(pos)
-                if switches is None:
-                    raise UsageError(f"trace has no switches for the pool at layer position {pos}")
-                # one query image's switches serve every row
-                signal = maxpool_backward(signal, np.broadcast_to(switches, signal.shape),
-                                          (len(chunk),) + tuple(net.in_shapes[pos]), below)
-            else:
-                raise UsageError(f"cannot reverse through a {below.kind} layer below conv {layer}")
+        # one query image's switches serve every row; no relu mask is
+        # recorded, so every relu on the way down rectifies
+        record = {pos: np.broadcast_to(sw, (len(chunk),) + sw.shape)
+                  for pos, sw in trace.switches.items() if pos < start}
+        signal = _walk_back(net, signal, start, record)
         ensure_finite(signal, "deconvolution reconstruction")
         out[c0:c0 + len(chunk)] = signal
     return out

@@ -2,10 +2,16 @@
 
 Six layer kinds (conv, relu, maxpool, flatten, dense, output) compose into a
 NetworkSpec whose shapes are checked end to end at build time. One forward
-walk serves every caller and records only what that caller reads: one
-image's conv activations (post-nonlinearity) and max-pool switch locations
-for the deconvolution reverse pass, a batch's chosen conv maps for the batch
-metrics, or the caches of the training backward pass.
+walk serves every caller and keeps only what that caller reads: a batch's
+chosen conv maps (post-nonlinearity) for the batch metrics, and, on request,
+a record for the way back. The record is one dict keyed by layer-list
+position: each conv's and dense's input, each relu's input > 0 mask, and
+each max-pool's switches.
+
+One reverse walk serves both ways back from a record: training's backward
+pass, and the deconvolution of conv channels to pixel space. They differ
+only at a relu: where the record holds the relu's mask the walk passes the
+gradient through it, and where it holds none the walk rectifies the signal.
 
 All layer math follows the input's dtype: inference runs float32, while the
 finite-difference tests cast a whole network to float64 and reuse the exact
@@ -351,22 +357,20 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward walks
+# the forward walk and the reverse walk
 
-def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
-          caches: list | None = None):
-    """Logits of the [N, C, H, W] batch x, recording only what the caller reads.
+def _walk(net: NetworkSpec, x: np.ndarray, convs=(), record: dict | None = None):
+    """Logits of the [N, C, H, W] batch x, keeping only what the caller reads.
 
-    Returns (logits, maps, switch_tensors). maps holds, for each 1-based conv
-    index in convs, the map after that conv's nonlinearity (the raw conv
-    output when no relu follows). switch_tensors holds each max-pool's
-    switches by layer-list position when switches is set. A caches list
-    receives (position, layer, cache) per layer for the backward pass. Only
-    walks that keep switches or caches build pool switches at all. The
-    output squash is left to the callers that need probabilities.
+    Returns (logits, maps). maps holds, for each 1-based conv index in convs,
+    the map after that conv's nonlinearity (the raw conv output when no relu
+    follows). A record dict receives, by layer-list position, what
+    _walk_back reads: each conv's and dense's input, each relu's x_in > 0
+    mask and each max-pool's switches. Only walks that keep a record build
+    pool switches at all. The output squash is left to the callers that
+    need probabilities.
     """
     maps: dict[int, np.ndarray] = {}
-    switch_tensors: dict[int, np.ndarray] = {}
     conv_index = 0
     for pos, layer in enumerate(net.layers[:-1]):
         x_in = x
@@ -380,32 +384,64 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), switches: bool = False,
                 x = np.empty((len(x_in),) + net.out_shapes[pos], dtype=x_in.dtype)
                 for i in range(0, len(x_in), _CHUNK):
                     x[i:i + _CHUNK] = conv_forward_cols(x_in[i:i + _CHUNK], layer)[0]
-            cache = x_in
+            if record is not None:
+                record[pos] = x_in
             conv_index += 1
             if conv_index in convs:
                 maps[conv_index] = x
         elif isinstance(layer, ReluLayer):
             x = np.maximum(x, 0)
-            cache = x_in > 0 if caches is not None else None
+            if record is not None:
+                record[pos] = x_in > 0
             if conv_index in maps and isinstance(net.layers[pos - 1], ConvLayer):
                 maps[conv_index] = x
         elif isinstance(layer, MaxPoolLayer):
-            if switches or caches is not None:
-                x, sw = maxpool_forward(x, layer)
-                cache = (sw, x_in.shape)
-                if switches:
-                    switch_tensors[pos] = sw
+            if record is not None:
+                x, record[pos] = maxpool_forward(x, layer)
             else:
                 x = maxpool_values(x, layer)
         elif isinstance(layer, FlattenLayer):
             x = x.reshape(len(x), -1)
-            cache = x_in.shape
         elif isinstance(layer, DenseLayer):
             x = x @ layer.w.T.astype(x.dtype, copy=False) + layer.b.astype(x.dtype, copy=False)
-            cache = x_in
-        if caches is not None:
-            caches.append((pos, layer, cache))
-    return x, maps, switch_tensors
+            if record is not None:
+                record[pos] = x_in
+    return x, maps
+
+
+def _walk_back(net: NetworkSpec, signal: np.ndarray, top: int, record: dict,
+               grads: dict | None = None) -> np.ndarray:
+    """Carry the [K, ...] signal at layer position top's output down to the
+    input and return it, popping each layer's record entry as the walk
+    passes it, so what the forward walk kept is freed on the way down.
+
+    A relu whose mask was recorded passes the signal where its input was
+    positive (the gradient); a relu without one rectifies the signal (the
+    deconvnet rule). When grads is given, each conv's and dense's (dw, db)
+    is written into it by position, and the walk stops at position 0,
+    because nothing reads the gradient with respect to the image.
+    """
+    for pos in range(top, -1, -1):
+        layer = net.layers[pos]
+        entry = record.pop(pos, None)
+        x_shape = (len(signal),) + net.in_shapes[pos]
+        if isinstance(layer, DenseLayer):
+            if grads is not None:
+                grads[pos] = (signal.T @ entry, signal.sum(axis=0))
+            signal = signal @ layer.w.astype(signal.dtype, copy=False)
+        elif isinstance(layer, FlattenLayer):
+            signal = signal.reshape(x_shape)
+        elif isinstance(layer, MaxPoolLayer):
+            signal = maxpool_backward(signal, entry, x_shape, layer)
+        elif isinstance(layer, ReluLayer):
+            signal = np.maximum(signal, 0) if entry is None else signal * entry
+        elif isinstance(layer, ConvLayer):
+            if grads is not None:
+                grads[pos] = conv_param_grad(signal, entry, layer)
+                if pos == 0:
+                    break
+            signal = conv_input_grad(signal, layer, x_shape)
+    return signal
 
 
 @dataclass
@@ -429,12 +465,14 @@ def forward(net: NetworkSpec, image: np.ndarray) -> ActivationTrace:
     """Trace one image: every conv map and every max-pool's switches."""
     if tuple(image.shape) != net.input_shape:
         raise DataFormatError(f"image shape {tuple(image.shape)} does not match network input {net.input_shape}")
-    logits, maps, switches = _walk(net, image[None], range(1, net.conv_count + 1), switches=True)
+    record: dict = {}
+    logits, maps = _walk(net, image[None], range(1, net.conv_count + 1), record)
     out = softmax(logits)[0]
     ensure_finite(out, "network output")
     pred = int(np.argmax(out))
     return ActivationTrace({k: m[0] for k, m in maps.items()},
-                           {pos: sw[0] for pos, sw in switches.items()},
+                           {pos: kept[0] for pos, kept in record.items()
+                            if isinstance(net.layers[pos], MaxPoolLayer)},
                            out, pred, float(out[pred]))
 
 
@@ -469,7 +507,7 @@ def forward_batch(net: NetworkSpec, images, layers) -> BatchTrace:
     maps: dict[int, np.ndarray] = {}
     outputs = []
     for start in range(0, len(x), _CHUNK):
-        logits, chunk_maps, _ = _walk(net, x[start:start + _CHUNK], layers)
+        logits, chunk_maps = _walk(net, x[start:start + _CHUNK], layers)
         outputs.append(softmax(logits))
         for k, m in chunk_maps.items():
             if k not in maps:
@@ -515,8 +553,8 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
     (dw, db). Does not modify the network.
     """
     n = len(xb)
-    caches: list = []
-    logits, _, _ = _walk(net, xb, caches=caches)
+    record: dict = {}
+    logits, _ = _walk(net, xb, record=record)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     logp = shifted - lse
@@ -524,24 +562,8 @@ def loss_gradients(net: NetworkSpec, xb: np.ndarray, yb: np.ndarray):
     grad = np.exp(logp)
     grad[np.arange(n), yb] -= 1.0
     grad /= n
-    grads = {}
-    while caches:  # popping frees each layer's cache once backward has passed it
-        pos, layer, cache = caches.pop()
-        if isinstance(layer, DenseLayer):
-            x_in = cache
-            grads[pos] = (grad.T @ x_in, grad.sum(axis=0))
-            grad = grad @ layer.w.astype(grad.dtype, copy=False)
-        elif isinstance(layer, FlattenLayer):
-            grad = grad.reshape(cache)
-        elif isinstance(layer, MaxPoolLayer):
-            sw, x_shape = cache
-            grad = maxpool_backward(grad, sw, x_shape, layer)
-        elif isinstance(layer, ReluLayer):
-            grad = grad * cache
-        elif isinstance(layer, ConvLayer):
-            grads[pos] = conv_param_grad(grad, cache, layer)
-            if pos:  # the gradient w.r.t. the image itself is never read
-                grad = conv_input_grad(grad, layer, cache.shape)
+    grads: dict = {}
+    _walk_back(net, grad, len(net.layers) - 2, record, grads)
     return loss, grads
 
 

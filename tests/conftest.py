@@ -1,5 +1,5 @@
 """Shared pytest wiring: the acceptance gate's end-of-run verdict block and
-counters of conv forwards and deconvolution walks."""
+counters of conv forwards, conv input gradients and deconvolution walks."""
 import pytest
 
 verdict_lines = []
@@ -42,4 +42,23 @@ def conv_calls(monkeypatch):
         return real(x, layer)
 
     monkeypatch.setattr(network, "conv_forward_cols", counting)
+    return calls
+
+
+@pytest.fixture
+def input_grad_layers(monkeypatch):
+    """id() of the conv layer of every conv_input_grad call, in call order,
+    counted in every module that binds the kernel."""
+    from patchlens import deconvnet, network
+
+    calls = []
+    real = network.conv_input_grad
+
+    def counting(dout, layer, x_shape):
+        calls.append(id(layer))
+        return real(dout, layer, x_shape)
+
+    for module in (network, deconvnet):
+        if hasattr(module, "conv_input_grad"):
+            monkeypatch.setattr(module, "conv_input_grad", counting)
     return calls

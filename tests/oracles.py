@@ -271,3 +271,108 @@ def run_gradcheck(n_seeds, eps=1e-3, probes_per_param=6):
                     denom = max(abs(fd), abs(gflat[idx]), 1e-6)
                     worst = max(worst, abs(fd - gflat[idx]) / denom)
     return worst
+
+
+def _reference_caches(net, xb):
+    """Logits and per-layer (position, layer, cache) tuples of the forward
+    pass that reference_loss_gradients walks back over: each conv's and
+    dense's input, each relu's mask, (switches, input shape) per max-pool
+    and the input shape per flatten."""
+    from patchlens.network import (ConvLayer, DenseLayer, FlattenLayer, MaxPoolLayer,
+                                   ReluLayer, conv_forward_cols, maxpool_forward)
+
+    caches = []
+    x = xb
+    for pos, layer in enumerate(net.layers[:-1]):
+        x_in = x
+        if isinstance(layer, ConvLayer):
+            x = np.concatenate([conv_forward_cols(x_in[i:i + 8], layer)[0]
+                                for i in range(0, len(x_in), 8)])
+            cache = x_in
+        elif isinstance(layer, ReluLayer):
+            x = np.maximum(x, 0)
+            cache = x_in > 0
+        elif isinstance(layer, MaxPoolLayer):
+            x, sw = maxpool_forward(x, layer)
+            cache = (sw, x_in.shape)
+        elif isinstance(layer, FlattenLayer):
+            x = x.reshape(len(x), -1)
+            cache = x_in.shape
+        elif isinstance(layer, DenseLayer):
+            x = x @ layer.w.T.astype(x.dtype, copy=False) + layer.b.astype(x.dtype, copy=False)
+            cache = x_in
+        caches.append((pos, layer, cache))
+    return x, caches
+
+
+def reference_loss_gradients(net, xb, yb):
+    """loss_gradients as its own backward loop over per-layer caches, the
+    form the program ran before training and the deconvnet shared one
+    reverse walk; the program must match it bit for bit."""
+    from patchlens.network import (ConvLayer, DenseLayer, FlattenLayer, MaxPoolLayer,
+                                   ReluLayer, conv_input_grad, conv_param_grad,
+                                   maxpool_backward)
+
+    n = len(xb)
+    logits, caches = _reference_caches(net, xb)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    logp = shifted - lse
+    loss = -float(np.mean(logp[np.arange(n), yb], dtype=np.float64))
+    grad = np.exp(logp)
+    grad[np.arange(n), yb] -= 1.0
+    grad /= n
+    grads = {}
+    while caches:  # popping frees each layer's cache once backward has passed it
+        pos, layer, cache = caches.pop()
+        if isinstance(layer, DenseLayer):
+            x_in = cache
+            grads[pos] = (grad.T @ x_in, grad.sum(axis=0))
+            grad = grad @ layer.w.astype(grad.dtype, copy=False)
+        elif isinstance(layer, FlattenLayer):
+            grad = grad.reshape(cache)
+        elif isinstance(layer, MaxPoolLayer):
+            sw, x_shape = cache
+            grad = maxpool_backward(grad, sw, x_shape, layer)
+        elif isinstance(layer, ReluLayer):
+            grad = grad * cache
+        elif isinstance(layer, ConvLayer):
+            grads[pos] = conv_param_grad(grad, cache, layer)
+            if pos:  # the gradient w.r.t. the image itself is never read
+                grad = conv_input_grad(grad, layer, cache.shape)
+    return loss, grads
+
+
+def reference_deconvolve(net, trace, layer, channels):
+    """deconvolve_channels as its own reverse loop with a rectifying relu,
+    the form the program ran before training and the deconvnet shared one
+    reverse walk; the program must match it bit for bit."""
+    from patchlens.errors import UsageError
+    from patchlens.network import (ConvLayer, MaxPoolLayer, ReluLayer, conv_input_grad,
+                                   maxpool_backward)
+
+    acts = trace.conv_acts[layer]
+    channels = np.asarray(channels, dtype=np.intp)
+    start = net.conv_position(layer)
+    out = np.empty((len(channels),) + net.input_shape, dtype=acts.dtype)
+    for c0 in range(0, len(channels), 8):
+        chunk = channels[c0:c0 + 8]
+        signal = np.zeros((len(chunk),) + acts.shape, dtype=acts.dtype)
+        signal[np.arange(len(chunk)), chunk] = acts[chunk]
+        for pos in range(start, -1, -1):
+            below = net.layers[pos]
+            if isinstance(below, ConvLayer):
+                signal = conv_input_grad(signal, below, (len(chunk),) + tuple(net.in_shapes[pos]))
+            elif isinstance(below, ReluLayer):
+                signal = np.maximum(signal, 0)
+            elif isinstance(below, MaxPoolLayer):
+                switches = trace.switches.get(pos)
+                if switches is None:
+                    raise UsageError(f"trace has no switches for the pool at layer position {pos}")
+                # one query image's switches serve every row
+                signal = maxpool_backward(signal, np.broadcast_to(switches, signal.shape),
+                                          (len(chunk),) + tuple(net.in_shapes[pos]), below)
+            else:
+                raise UsageError(f"cannot reverse through a {below.kind} layer below conv {layer}")
+        out[c0:c0 + len(chunk)] = signal
+    return out

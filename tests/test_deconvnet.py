@@ -27,7 +27,7 @@ from patchlens.network import (
 )
 from patchlens.tensor import DTYPE, Rng
 
-from oracles import naive_maxpool
+from oracles import naive_maxpool, reference_deconvolve
 
 
 def head(in_features, classes=2):
@@ -140,6 +140,39 @@ def test_batched_walk_requires_valid_channels():
         deconvolve_channels(net, trace, 1, [0, 9])
     with pytest.raises(UsageError):
         deconvolve_channels(net, trace, 2, [0])
+
+
+def test_deconvolve_matches_reference_loop():
+    # the shared reverse walk against the deconvnet's own loop with a
+    # rectifying relu; 11 channels cross network._CHUNK
+    net = reference_network(Rng(52, 0))
+    trace = forward(net, Rng(52, 1).uniform(0, 1, (3, 32, 32)).astype(DTYPE))
+    for layer in (2, 4, 6):
+        channels = Rng(52, 2 + layer).permutation(net.conv_out_channels(layer))[:11]
+        got = deconvolve_channels(net, trace, layer, channels)
+        assert got.any()
+        assert np.array_equal(got, reference_deconvolve(net, trace, layer, channels))
+
+
+def test_deconvolve_maps_back_through_each_conv_once(input_grad_layers):
+    net = reference_network(Rng(53, 0))
+    trace = forward(net, Rng(53, 1).uniform(0, 1, (3, 32, 32)).astype(DTYPE))
+    for layer in range(1, net.conv_count + 1):
+        input_grad_layers.clear()
+        deconvolve_channels(net, trace, layer, range(8))
+        assert input_grad_layers == [id(net.conv_layer(k)) for k in range(layer, 0, -1)]
+
+
+def test_deconvolve_checks_switches_before_walking(input_grad_layers):
+    net = reference_network(Rng(54, 0))
+    trace = forward(net, Rng(54, 1).uniform(0, 1, (3, 32, 32)).astype(DTYPE))
+    first_pool = min(trace.switches)
+    del trace.switches[first_pool]
+    with pytest.raises(UsageError, match=f"position {first_pool}"):
+        deconvolve_channels(net, trace, net.conv_count, [0])
+    assert input_grad_layers == []
+    # the missing pool sits above conv layer 2, so its walk never reads it
+    assert deconvolve_channels(net, trace, 2, [0]).shape == (1, 3, 32, 32)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from patchlens.network import (
 )
 from patchlens.tensor import DTYPE, Rng
 from oracles import (col2im_conv_input_grad, naive_conv, naive_conv_input_grad,
-                     naive_conv_param_grad, naive_maxpool, networks_equal, run_gradcheck)
+                     naive_conv_param_grad, naive_maxpool, networks_equal,
+                     reference_loss_gradients, run_gradcheck)
 
 
 def tiny_head(in_features, classes=2):
@@ -299,6 +300,28 @@ def test_train_runs_no_extra_forwards(conv_calls):
           Rng(27, 0))
     # 2 epochs x 3 minibatches (4 + 4 + 2 images) x 7 convs, one forward each
     assert conv_calls == ([4] * 7 + [4] * 7 + [2] * 7) * 2
+
+
+def test_loss_gradients_match_reference_loop():
+    # the shared reverse walk against training's own backward loop over
+    # per-layer caches: the same loss and every gradient bit for bit
+    net = reference_network(Rng(30, 0))
+    xb = Rng(31, 0).uniform(0, 1, (32, 3, 32, 32)).astype(DTYPE)
+    yb = np.arange(32) % 2
+    loss, grads = loss_gradients(net, xb, yb)
+    want_loss, want = reference_loss_gradients(net, xb, yb)
+    assert loss == want_loss
+    assert sorted(grads) == sorted(want) == net.conv_positions + [len(net.layers) - 3, len(net.layers) - 2]
+    for pos, (dw, db) in want.items():
+        assert np.array_equal(grads[pos][0], dw) and np.array_equal(grads[pos][1], db)
+
+
+def test_training_step_maps_back_through_every_conv_but_the_first(input_grad_layers):
+    net = reference_network(Rng(32, 0))
+    xb = Rng(33, 0).uniform(0, 1, (4, 3, 32, 32)).astype(DTYPE)
+    loss_gradients(net, xb, np.arange(4) % 2)
+    # 6 calls, top conv first: nothing reads the gradient w.r.t. the image
+    assert input_grad_layers == [id(net.layers[pos]) for pos in reversed(net.conv_positions[1:])]
 
 
 def _step_peak_and_patch_bytes():
