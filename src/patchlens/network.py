@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataFormatError, NumericError, UsageError
 from .tensor import DTYPE, Rng, ensure_finite
@@ -200,15 +200,31 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 # layer math (batched; dtype follows the input)
 
-# Batched walks run 8 images at a time, and every conv kernel that builds a
-# patch matrix builds it for at most 8 images, training's included. Conv
-# maps and gradients do not depend on the chunk (numpy runs one GEMM per
-# image either way). Measured on the 50-image perturbation batch (2-core
-# host, one BLAS thread): chunks of 8 peak at 14.3 MiB under tracemalloc, no
-# more than walking image by image (14.5 MiB), and run 1.2-1.7x faster;
-# chunks of 16 ran at most 15% faster than 8 but peaked at 20 MiB, one
-# 50-image stack at 35 MiB.
+# Batched walks run 8 images at a time, and the deconvnet walks back 8
+# channels at a time. Measured on the 50-image perturbation batch (2-core
+# host, one BLAS thread): chunks of 8 run 1.2-1.7x faster than walking
+# image by image; chunks of 16 ran at most 15% faster than 8 but peaked at
+# 20 MiB under tracemalloc, when each chunk's patch matrix still held
+# every image of the chunk.
 _CHUNK = 8
+
+# Each conv kernel builds its patch matrix for as many images as fit in
+# _COLS_BYTES, and for one image when even one does not fit. Conv maps and
+# gradients do not depend on the piece size (numpy runs one GEMM per image
+# either way). Swept with scripts/kernel_times.py over 0.5, 1, 2 and
+# 4.5 MiB (the largest 8-image matrix) at the reference shapes, 2-core
+# host, one BLAS thread: 0.5 and 1 MiB ran the conv forwards within 3% of
+# each other and 5-10% faster than 2 and 4.5 MiB, and 1 MiB ran the weight
+# gradients fastest (4.5 MiB took 1.7x as long at batch 32). With 1 MiB the
+# 50-image perturbation batch peaks at 11.4 MiB under tracemalloc, against
+# 14.3 MiB with 8-image matrices.
+_COLS_BYTES = 1 << 20
+
+
+def _cols_images(x: np.ndarray, layer: ConvLayer, out_cells: int) -> int:
+    """Images per patch matrix: how many [C*kh*kw, out_cells] matrices of
+    x's dtype fit in _COLS_BYTES, and never fewer than one."""
+    return max(1, _COLS_BYTES // (x.itemsize * layer.w[0].size * out_cells))
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
@@ -223,9 +239,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
         padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         padded[:, :, pad:-pad, pad:-pad] = x
         x = padded
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, ho, wo = win.shape[:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    n, c, h, w = x.shape
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sc, sh, sw = x.strides
+    win = as_strided(x, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return win.reshape(n, c * kh * kw, ho * wo)
 
 
 def conv_forward_cols(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +255,25 @@ def conv_forward_cols(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.n
     out = layer.w.reshape(o, -1).astype(x.dtype, copy=False) @ cols
     out += layer.b.astype(x.dtype, copy=False)[:, None]
     return out.reshape(n, o, ho, wo), cols
+
+
+def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """conv_forward_cols's output, from patch matrices within _COLS_BYTES.
+
+    A batch that fits in one piece keeps the kernel's own output, so the
+    caller holds no second copy of it; training rebuilds the patch matrices
+    from x in conv_param_grad.
+    """
+    n, _, h, w = x.shape
+    o, _, kh, kw = layer.w.shape
+    out_shape = (o, conv_out_extent(h, kh, layer.stride, layer.pad), conv_out_extent(w, kw, layer.stride, layer.pad))
+    step = _cols_images(x, layer, out_shape[1] * out_shape[2])
+    if n <= step:
+        return conv_forward_cols(x, layer)[0]
+    out = np.empty((n,) + out_shape, dtype=x.dtype)
+    for i in range(0, n, step):
+        out[i:i + step] = conv_forward_cols(x[i:i + step], layer)[0]
+    return out
 
 
 def conv_input_grad(dout: np.ndarray, layer: ConvLayer, x_shape) -> np.ndarray:
@@ -274,17 +311,18 @@ def conv_input_grad(dout: np.ndarray, layer: ConvLayer, x_shape) -> np.ndarray:
 def conv_param_grad(dout: np.ndarray, x: np.ndarray, layer: ConvLayer):
     """(dw, db) of the conv that mapped x to an output with gradient dout.
 
-    The patch matrix is built _CHUNK images at a time from the conv's input.
-    Each image's [C*kh*kw, O] product lands in one [N, C*kh*kw, O] array,
-    summed over images once; this operand order measured faster than
-    dout @ cols^T at the reference shapes.
+    The patch matrix is built from the conv's input, as many images at a
+    time as fit in _COLS_BYTES. Each image's [C*kh*kw, O] product lands in
+    one [N, C*kh*kw, O] array, summed over images once; this operand order
+    measured faster than dout @ cols^T at the reference shapes.
     """
     n, o = dout.shape[:2]
     dmat = dout.reshape(n, o, -1)
     prods = np.empty((n, layer.w[0].size, o), dtype=dout.dtype)
-    for start in range(0, n, _CHUNK):
-        cols = _im2col(x[start:start + _CHUNK], *layer.w.shape[2:], layer.stride, layer.pad)
-        np.matmul(cols, dmat[start:start + _CHUNK].transpose(0, 2, 1), out=prods[start:start + _CHUNK])
+    step = _cols_images(x, layer, dmat.shape[2])
+    for start in range(0, n, step):
+        cols = _im2col(x[start:start + step], *layer.w.shape[2:], layer.stride, layer.pad)
+        np.matmul(cols, dmat[start:start + step].transpose(0, 2, 1), out=prods[start:start + step])
     dw = prods.sum(axis=0).T.reshape(layer.w.shape)
     db = dmat.sum(axis=(0, 2))
     return dw, db
@@ -314,18 +352,22 @@ def maxpool_forward(x: np.ndarray, layer: MaxPoolLayer) -> tuple[np.ndarray, np.
 
     switches[n, c, i, j] is the flat row-major index into the pre-pool H*W
     plane of the cell that won pooled cell (i, j). Ties go to the first cell
-    in row-major scan order: the scan runs last to first, so the earliest
-    cell equal to the maximum writes last. A window whose maximum is NaN
-    keeps its first cell.
+    in row-major scan order: a count runs over the window from its last cell
+    to its first, restarting at 0 on each cell equal to the maximum, so it
+    ends as the number of leading cells that are not. A window whose
+    maximum is NaN has no equal cell; its count of k*k wraps to its first
+    cell.
     """
     out = maxpool_values(x, layer)
-    w, s = x.shape[3], layer.stride
+    k, w, s = layer.window, x.shape[3], layer.stride
     ho, wo = out.shape[2:]
     corner = (np.arange(ho, dtype=np.int32) * s * w)[:, None] + (np.arange(wo, dtype=np.int32) * s)[None, :]
-    switches = np.broadcast_to(corner, out.shape).copy()
-    for (dy, dx), view in reversed(_pool_views(x, layer).items()):
-        np.copyto(switches, corner + (dy * w + dx), where=view == out)
-    return out, switches
+    code = np.zeros(out.shape, dtype=np.min_scalar_type(k * k))
+    for view in reversed(_pool_views(x, layer).values()):
+        code += 1
+        code *= view != out
+    code %= k * k
+    return out, corner + (code // k) * np.int32(w) + code % k
 
 
 def maxpool_backward(dout: np.ndarray, switches: np.ndarray, x_shape,
@@ -375,15 +417,7 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), record: dict | None = None)
     for pos, layer in enumerate(net.layers[:-1]):
         x_in = x
         if isinstance(layer, ConvLayer):
-            # One chunk's patch matrix at a time; training rebuilds them from
-            # x_in. A one-chunk batch keeps the kernel's own output, so the
-            # batched walks hold no second copy of it.
-            if len(x_in) <= _CHUNK:
-                x = conv_forward_cols(x_in, layer)[0]
-            else:
-                x = np.empty((len(x_in),) + net.out_shapes[pos], dtype=x_in.dtype)
-                for i in range(0, len(x_in), _CHUNK):
-                    x[i:i + _CHUNK] = conv_forward_cols(x_in[i:i + _CHUNK], layer)[0]
+            x = conv_forward(x_in, layer)
             if record is not None:
                 record[pos] = x_in
             conv_index += 1

@@ -102,6 +102,23 @@ def naive_maxpool(x, window, stride):
     return out, arg
 
 
+def loop_maxpool_forward(x, layer):
+    """maxpool_forward as one masked copy per window cell, scanning last to
+    first so that the earliest cell equal to the maximum writes last: the
+    form the program ran before it counted leading cells, which it must
+    match bit for bit. A window whose maximum is NaN keeps its first cell."""
+    from patchlens.network import _pool_views, maxpool_values
+
+    out = maxpool_values(x, layer)
+    w, s = x.shape[3], layer.stride
+    ho, wo = out.shape[2:]
+    corner = (np.arange(ho, dtype=np.int32) * s * w)[:, None] + (np.arange(wo, dtype=np.int32) * s)[None, :]
+    switches = np.broadcast_to(corner, out.shape).copy()
+    for (dy, dx), view in reversed(_pool_views(x, layer).items()):
+        np.copyto(switches, corner + (dy * w + dx), where=view == out)
+    return out, switches
+
+
 def networks_equal(a, b):
     """Structural and bitwise weight equality of two NetworkSpecs."""
     from patchlens.network import ConvLayer, DenseLayer, MaxPoolLayer, OutputLayer

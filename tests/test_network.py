@@ -33,7 +33,7 @@ from patchlens.network import (
     train,
 )
 from patchlens.tensor import DTYPE, Rng
-from oracles import (col2im_conv_input_grad, naive_conv, naive_conv_input_grad,
+from oracles import (col2im_conv_input_grad, loop_maxpool_forward, naive_conv, naive_conv_input_grad,
                      naive_conv_param_grad, naive_maxpool, networks_equal,
                      reference_loss_gradients, run_gradcheck)
 
@@ -158,6 +158,7 @@ def test_duplicated_image_identical_traces():
 
 
 # N = 1, 7, 8 and 11 sit on either side of the walk's 8-image chunk edge
+# and of conv 3's 7-image patch-matrix piece
 @pytest.mark.parametrize("n", [1, 7, 8, 11])
 def test_batch_matches_per_image_forward(n):
     net = reference_network(Rng(21, 0))
@@ -243,6 +244,26 @@ def test_pool_kernels_match_naive_on_ties(seed, window, stride, levels):
         assert np.array_equal(switches[n].astype(np.int64), want_arg)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(3, 9), st.integers(3, 9),
+       st.integers(2, 3), st.integers(1, 3))
+def test_pool_switch_count_matches_loop(seed, c, h, w, window, stride):
+    # relu-style zero ties, repeated positive levels, -0.0 beside 0.0, NaN
+    # cells and one all-NaN plane: the counted switches are the masked-copy
+    # loop's bit for bit
+    r = Rng(seed, 0)
+    x = np.maximum(np.floor(r.split(0).uniform(-2, 3, (2, c, h, w))), 0).astype(DTYPE)
+    cells = r.split(1).uniform(0, 1, x.shape)
+    x[cells < 0.15] = -0.0
+    x[cells > 0.95] = np.nan
+    x[1, 0] = np.nan
+    layer = MaxPoolLayer(window, stride)
+    pooled, switches = maxpool_forward(x, layer)
+    want, want_switches = loop_maxpool_forward(x, layer)
+    assert np.array_equal(pooled, want, equal_nan=True)
+    assert switches.dtype == want_switches.dtype and np.array_equal(switches, want_switches)
+
+
 @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
 def test_pool_nan_propagates_and_switches_stay_in_window(window, stride):
     x = Rng(31, 0).uniform(0, 1, (1, 2, 7, 7)).astype(DTYPE)
@@ -293,13 +314,25 @@ def test_only_walks_that_keep_switches_build_them(pool_switch_calls):
     assert pool_switch_calls == [1] * 3 + [4] * 3  # the reference net's 3 pools
 
 
+def _budget_pieces(net, pos, n):
+    """Image counts of the pieces a conv at layer position pos runs an
+    n-image float32 batch in: as many images as fit in _COLS_BYTES, at
+    least one, in order."""
+    per_image = 4 * net.layers[pos].w[0].size * math.prod(net.out_shapes[pos][1:])
+    step = max(1, network._COLS_BYTES // per_image)
+    return [min(step, n - i) for i in range(0, n, step)]
+
+
 def test_train_runs_no_extra_forwards(conv_calls):
     images = Rng(25, 0).uniform(0, 1, (10, 3, 32, 32)).astype(DTYPE)
     labels = np.arange(10) % 2
-    train(reference_network(Rng(26, 0)), images, labels, TrainConfig(epochs=2, lr=0.01, batch_size=4),
-          Rng(27, 0))
-    # 2 epochs x 3 minibatches (4 + 4 + 2 images) x 7 convs, one forward each
-    assert conv_calls == ([4] * 7 + [4] * 7 + [2] * 7) * 2
+    net = reference_network(Rng(26, 0))
+    train(net, images, labels, TrainConfig(epochs=2, lr=0.01, batch_size=4), Rng(27, 0))
+    # 2 epochs x 3 minibatches (4 + 4 + 2 images) x 7 convs: each conv runs
+    # each minibatch once, in budget-sized pieces, and nothing re-forwards
+    want = [k for n in [4, 4, 2] * 2 for pos in net.conv_positions for k in _budget_pieces(net, pos, n)]
+    assert conv_calls == want
+    assert len(want) > 6 * 7  # convs 4 and 5 take 3 images per piece
 
 
 def test_loss_gradients_match_reference_loop():
@@ -350,10 +383,47 @@ def test_training_step_holds_no_patch_matrices():
 
 def test_training_step_builds_no_whole_batch_patch_matrix():
     # the largest conv's patch matrix over the whole batch is 18.0 MiB; the
-    # kernels build patch matrices a chunk at a time and input gradients a
+    # kernels build patch matrices within _COLS_BYTES and input gradients a
     # kernel tap at a time
     peak, patch_bytes = _step_peak_and_patch_bytes()
     assert peak < max(patch_bytes)
+
+
+def test_patch_matrices_fit_the_budget(monkeypatch):
+    # every patch matrix that a training step, an explain's 50-image batch
+    # walk and a weight gradient build fits in _COLS_BYTES or holds one image
+    built = []
+    real = network._im2col
+
+    def recording(x, *args):
+        cols = real(x, *args)
+        built.append((len(cols), cols.nbytes))
+        return cols
+
+    monkeypatch.setattr(network, "_im2col", recording)
+    net = reference_network(Rng(34, 0))
+    xb = Rng(35, 0).uniform(0, 1, (50, 3, 32, 32)).astype(DTYPE)
+    loss_gradients(net, xb[:32], np.arange(32) % 2)
+    forward_batch(net, xb, range(2, 7))
+    pos = net.conv_positions[1]
+    conv_param_grad(Rng(36, 0).normal(0, 1, (50,) + net.out_shapes[pos]).astype(DTYPE),
+                    Rng(37, 0).uniform(0, 1, (50,) + net.in_shapes[pos]).astype(DTYPE), net.layers[pos])
+    assert all(n == 1 or nbytes <= network._COLS_BYTES for n, nbytes in built)
+    assert max(n for n, _ in built) > 1
+
+
+def test_explain_batch_walk_peak_memory():
+    # 50 perturbed images through layers 2..6 keep 8.59 MiB of maps; conv
+    # 2's patch matrix over an 8-image chunk alone would add 4.5 MiB
+    net = reference_network(Rng(38, 0))
+    images = Rng(39, 0).uniform(0, 1, (50, 3, 32, 32)).astype(DTYPE)
+    tracemalloc.start()
+    try:
+        forward_batch(net, images, range(2, 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5 * 2 ** 20
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,7 +486,8 @@ def test_input_grad_matches_column_matrix_kernel(n):
 
 @pytest.mark.parametrize("n", [11, 32])
 def test_param_grad_matches_whole_batch_patch_matrix(n):
-    # 11 images leave a last chunk of 3
+    # conv 2 runs one image per piece; at 11 images convs 1, 3, 4, 5 and 7
+    # end on a short last piece and conv 6 runs all 11 in one
     for k, (layer, in_shape, _) in enumerate(_reference_conv_shapes()):
         x = Rng(33, k).uniform(-1, 1, (n,) + in_shape).astype(DTYPE)
         out, cols = conv_forward_cols(x, layer)
