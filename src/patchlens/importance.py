@@ -7,6 +7,9 @@ channel). The two batch metrics look across the perturbation batch: the
 magnitude of the correlation between per-sample activation and the
 network's output, and the mean reciprocal across-batch cell variance
 ("precision", high when the channel responds stably under input noise).
+The batch walk need not keep any layer's maps: batch_reducer keeps, per
+layer, only what these two metrics read of them (each sample's channel
+sums, and precision's two per-channel terms).
 
 Scores stay per layer from scorer to file: each metric gives one LayerScores
 record per conv layer, and LayerScores.order is the one definition of a
@@ -67,7 +70,8 @@ class RankedSet:
 
 
 def _activation(trace: ActivationTrace | BatchTrace, layer: int) -> np.ndarray:
-    """The layer's recorded maps: [C, H, W] from one trace, [N, C, H, W] from a batch."""
+    """The layer's record: [C, H, W] maps from one trace; from a batch, its
+    [N, C, H, W] maps or what batch_reducer kept of them."""
     try:
         return trace.conv_acts[layer]
     except KeyError:
@@ -109,19 +113,61 @@ def score_weight_var(net: NetworkSpec, layer: int) -> LayerScores:
     return _weight_scores(net, layer, "weight-var", variance)
 
 
-def score_correlation(batch: BatchTrace, layer: int, ref_class: int) -> LayerScores:
-    """|Pearson r| between per-sample activation sum and the probability the
-    network assigns to ref_class (the original image's predicted class)."""
-    maps = _activation(batch, layer)
-    if len(maps) < 2:
-        raise UsageError("correlation needs a batch of at least 2 samples")
-    r = pearson_abs_columns(tensor_sum(maps, axis=(2, 3)), batch.output[:, ref_class])
-    return _layer_scores(layer, "act-out-corr", r, np.isnan(r))
-
-
 # Channels scored together in precision; each block's float64 copy of the
 # batch maps stays within about this many bytes.
 _PRECISION_BLOCK_BYTES = 1 << 20
+
+
+def _precision_terms(maps: np.ndarray) -> np.ndarray:
+    """Float64 [2, C] of [N, C, H, W] maps: each channel's mean absolute
+    activation over the whole batch, and its mean over cells of
+    1 / max(Var_i(cell), _VAR_FLOOR)."""
+    block = max(1, _PRECISION_BLOCK_BYTES // (8 * maps[:, 0].size))
+    mean_abs, values = [], []
+    for c0 in range(0, maps.shape[1], block):
+        # [b, N, H, W]: each channel's cells contiguous, in the order its
+        # own [N, H, W] stack would sum them
+        stack = np.ascontiguousarray(maps[:, c0:c0 + block].transpose(1, 0, 2, 3), dtype=np.float64)
+        b = len(stack)
+        mean_abs.append(np.abs(stack).reshape(b, -1).mean(axis=1))
+        cell_var = variance(stack, axis=1)
+        values.append((1.0 / np.maximum(cell_var, _VAR_FLOOR)).reshape(b, -1).mean(axis=1))
+    return np.stack([np.concatenate(mean_abs), np.concatenate(values)])
+
+
+# What each batch metric reads of one layer's [N, C, H, W] batch maps:
+# correlation, each sample's float64 channel sums
+_BATCH_READERS = {"act-out-corr": lambda maps: tensor_sum(maps, axis=(2, 3)),
+                  "act-precision": _precision_terms}
+
+
+def batch_reducer(metrics=METRICS):
+    """The reduce argument of network.forward_batch for the selected
+    metrics: it keeps, of each layer's batch maps, {metric: what that batch
+    metric reads}, so no layer's maps outlive their layer's segment."""
+    readers = {m: _BATCH_READERS[m] for m in metrics if m in _BATCH_READERS}
+    return lambda layer, maps: {m: read(maps) for m, read in readers.items()}
+
+
+def _batch_reading(batch: BatchTrace, layer: int, metric: str) -> np.ndarray:
+    """What metric reads of the layer's batch record: computed from the
+    kept maps, or as batch_reducer kept it during the walk."""
+    kept = _activation(batch, layer)
+    if len(batch.output) < 2:
+        raise UsageError(f"{metric} needs a batch of at least 2 samples")
+    if isinstance(kept, np.ndarray):
+        return _BATCH_READERS[metric](kept)
+    if metric not in kept:
+        raise UsageError(f"the batch record of conv layer {layer} was not reduced for {metric}")
+    return kept[metric]
+
+
+def score_correlation(batch: BatchTrace, layer: int, ref_class: int) -> LayerScores:
+    """|Pearson r| between per-sample activation sum and the probability the
+    network assigns to ref_class (the original image's predicted class)."""
+    sums = _batch_reading(batch, layer, "act-out-corr")
+    r = pearson_abs_columns(sums, batch.output[:, ref_class])
+    return _layer_scores(layer, "act-out-corr", r, np.isnan(r))
 
 
 def score_precision(batch: BatchTrace, layer: int, lambda_threshold: float) -> LayerScores:
@@ -131,22 +177,8 @@ def score_precision(batch: BatchTrace, layer: int, lambda_threshold: float) -> L
     lambda_threshold are degenerate: a dead channel is perfectly stable, and
     the floor would otherwise rank it at the top.
     """
-    maps = _activation(batch, layer)
-    n, channels = maps.shape[:2]
-    if n < 2:
-        raise UsageError("precision needs a batch of at least 2 samples")
-    block = max(1, _PRECISION_BLOCK_BYTES // (8 * maps[:, 0].size))
-    mean_abs, values = [], []
-    for c0 in range(0, channels, block):
-        # [b, N, H, W]: each channel's cells contiguous, in the order its
-        # own [N, H, W] stack would sum them
-        stack = np.ascontiguousarray(maps[:, c0:c0 + block].transpose(1, 0, 2, 3), dtype=np.float64)
-        b = len(stack)
-        mean_abs.append(np.abs(stack).reshape(b, -1).mean(axis=1))
-        cell_var = variance(stack, axis=1)
-        values.append((1.0 / np.maximum(cell_var, _VAR_FLOOR)).reshape(b, -1).mean(axis=1))
-    return _layer_scores(layer, "act-precision", np.concatenate(values),
-                         np.concatenate(mean_abs) < lambda_threshold)
+    mean_abs, values = _batch_reading(batch, layer, "act-precision")
+    return _layer_scores(layer, "act-precision", values, mean_abs < lambda_threshold)
 
 
 def score_neurons(net: NetworkSpec, original: ActivationTrace, batch: BatchTrace | None,
@@ -155,10 +187,10 @@ def score_neurons(net: NetworkSpec, original: ActivationTrace, batch: BatchTrace
     """{metric: one record per layer, in layer order} for the selected metrics.
 
     Baselines read the original image's trace; batch metrics read the
-    perturbation batch's record (None when no batch metric is selected),
-    with the correlation's output column fixed to the class predicted for
-    the original image. A layer outside the network or the record raises
-    UsageError.
+    perturbation batch's record (None when no batch metric is selected):
+    its kept maps, or what batch_reducer kept of them. The correlation's
+    output column is fixed to the class predicted for the original image.
+    A layer outside the network or the record raises UsageError.
     """
     score = {
         "act-sum": lambda layer: score_act_sum(original, layer),

@@ -3,10 +3,12 @@
 Six layer kinds (conv, relu, maxpool, flatten, dense, output) compose into a
 NetworkSpec whose shapes are checked end to end at build time. One forward
 walk serves every caller and keeps only what that caller reads: a batch's
-chosen conv maps (post-nonlinearity) for the batch metrics, and, on request,
-a record for the way back. The record is one dict keyed by layer-list
-position: each conv's and dense's input, each relu's input > 0 mask, and
-each max-pool's switches.
+chosen conv maps (post-nonlinearity), or only what a caller's reducer keeps
+of each, for the batch metrics, and, on request, a record for the way back.
+A batch walks one segment of layers at a time, so with a reducer the whole
+batch's maps of only one layer are alive at once. The record is one dict
+keyed by layer-list position: each conv's and dense's input, each relu's
+input > 0 mask, and each max-pool's switches.
 
 One reverse walk serves both ways back from a record: training's backward
 pass, and the deconvolution of conv channels to pixel space. They differ
@@ -216,7 +218,8 @@ _CHUNK = 8
 # host, one BLAS thread: 0.5 and 1 MiB ran the conv forwards within 3% of
 # each other and 5-10% faster than 2 and 4.5 MiB, and 1 MiB ran the weight
 # gradients fastest (4.5 MiB took 1.7x as long at batch 32). With 1 MiB the
-# 50-image perturbation batch peaks at 11.4 MiB under tracemalloc, against
+# 50-image perturbation batch, walked whole chunk by chunk and keeping the
+# maps of layers 2..6, peaked at 11.4 MiB under tracemalloc, against
 # 14.3 MiB with 8-image matrices.
 _COLS_BYTES = 1 << 20
 
@@ -401,20 +404,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the forward walk and the reverse walk
 
-def _walk(net: NetworkSpec, x: np.ndarray, convs=(), record: dict | None = None):
-    """Logits of the [N, C, H, W] batch x, keeping only what the caller reads.
+def _walk(net: NetworkSpec, x: np.ndarray, convs=(), record: dict | None = None,
+          start: int = 0, stop: int | None = None):
+    """Walk the batch x, the input of layer position start, through
+    positions [start, stop), keeping only what the caller reads.
 
-    Returns (logits, maps). maps holds, for each 1-based conv index in convs,
-    the map after that conv's nonlinearity (the raw conv output when no relu
-    follows). A record dict receives, by layer-list position, what
-    _walk_back reads: each conv's and dense's input, each relu's x_in > 0
-    mask and each max-pool's switches. Only walks that keep a record build
-    pool switches at all. The output squash is left to the callers that
-    need probabilities.
+    stop defaults to the output layer, so a whole walk takes the [N, C, H, W]
+    images to logits; the output squash is left to the callers that need
+    probabilities. Returns (the output of position stop - 1, maps). maps
+    holds, for each 1-based conv index in convs whose map is made in the
+    walked span, the map after that conv's nonlinearity (the raw conv output
+    when no relu follows). A record dict receives, by layer-list position,
+    what _walk_back reads: each conv's and dense's input, each relu's
+    x_in > 0 mask and each max-pool's switches. Only walks that keep a
+    record build pool switches at all.
     """
     maps: dict[int, np.ndarray] = {}
-    conv_index = 0
-    for pos, layer in enumerate(net.layers[:-1]):
+    conv_index = sum(pos < start for pos in net.conv_positions)
+    for pos in range(start, len(net.layers) - 1 if stop is None else stop):
+        layer = net.layers[pos]
         x_in = x
         if isinstance(layer, ConvLayer):
             x = conv_forward(x_in, layer)
@@ -427,7 +435,7 @@ def _walk(net: NetworkSpec, x: np.ndarray, convs=(), record: dict | None = None)
             x = np.maximum(x, 0)
             if record is not None:
                 record[pos] = x_in > 0
-            if conv_index in maps and isinstance(net.layers[pos - 1], ConvLayer):
+            if conv_index in convs and isinstance(net.layers[pos - 1], ConvLayer):
                 maps[conv_index] = x
         elif isinstance(layer, MaxPoolLayer):
             if record is not None:
@@ -512,24 +520,40 @@ def forward(net: NetworkSpec, image: np.ndarray) -> ActivationTrace:
 
 @dataclass
 class BatchTrace:
-    """Per-layer arrays recorded over a batch of images.
+    """Per-layer records of a batch of images.
 
-    conv_acts maps each requested 1-based conv index to its [N, C, H, W]
-    maps, recorded as in ActivationTrace; output holds the [N, classes]
-    float64 class probabilities.
+    conv_acts maps each requested 1-based conv index to what the walk kept
+    of that layer's [N, C, H, W] maps, recorded as in ActivationTrace: the
+    maps themselves, or what the caller's reducer returned for them. output
+    holds the [N, classes] float64 class probabilities.
     """
 
-    conv_acts: dict[int, np.ndarray]
+    conv_acts: dict
     output: np.ndarray
 
 
-def forward_batch(net: NetworkSpec, images, layers) -> BatchTrace:
+def _walk_chunks(net: NetworkSpec, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """_walk's output over positions [start, stop) for the whole batch x,
+    walked _CHUNK images at a time into one array."""
+    out = np.empty((len(x),) + net.out_shapes[stop - 1], dtype=x.dtype)
+    for i in range(0, len(x), _CHUNK):
+        out[i:i + _CHUNK] = _walk(net, x[i:i + _CHUNK], start=start, stop=stop)[0]
+    return out
+
+
+def forward_batch(net: NetworkSpec, images, layers, reduce=None) -> BatchTrace:
     """Walk a batch of images, keeping the maps of the given conv layers only.
 
-    images is an [N, C, H, W] array or a sequence of [C, H, W] images. Row i
-    of each record matches forward() on image i: the maps bit for bit, the
-    probabilities up to float32 rounding in the dense layers, whose GEMMs
-    see a whole chunk of rows at once.
+    images is an [N, C, H, W] array or a sequence of [C, H, W] images, N >= 1.
+    The walk runs one segment per requested layer, in ascending order, each
+    ending at that layer's map and walked _CHUNK images at a time, then the
+    tail to the logits, in the same chunks. Each layer's [N, C, H, W] maps
+    are freed once the next segment has read them, unless kept: without a
+    reducer the record keeps them, and with one it keeps reduce(layer,
+    maps), called once per layer, so the whole batch's maps of only one
+    layer are alive at a time. Row i of the maps matches forward() on image
+    i bit for bit, the probabilities up to float32 rounding in the dense
+    layers, whose GEMMs see a whole chunk of rows at once.
     """
     for k in layers:
         net.conv_position(k)
@@ -538,21 +562,22 @@ def forward_batch(net: NetworkSpec, images, layers) -> BatchTrace:
             raise DataFormatError(f"sample {i}: image shape {tuple(np.shape(image))} "
                                   f"does not match network input {net.input_shape}")
     x = np.asarray(images)
-    maps: dict[int, np.ndarray] = {}
-    outputs = []
-    for start in range(0, len(x), _CHUNK):
-        logits, chunk_maps = _walk(net, x[start:start + _CHUNK], layers)
-        outputs.append(softmax(logits))
-        for k, m in chunk_maps.items():
-            if k not in maps:
-                maps[k] = np.empty((len(x),) + m.shape[1:], dtype=m.dtype)
-            maps[k][start:start + len(m)] = m
-        del chunk_maps  # before the next chunk's walk allocates
-    output = np.concatenate(outputs)
+    if len(x) == 0:
+        raise UsageError("the batch has no images")
+    kept = {}
+    start = 0
+    for k in sorted(set(layers)):
+        stop = net.conv_position(k) + 1
+        if isinstance(net.layers[stop], ReluLayer):
+            stop += 1
+        x = _walk_chunks(net, x, start, stop)
+        kept[k] = x if reduce is None else reduce(k, x)
+        start = stop
+    output = softmax(_walk_chunks(net, x, start, len(net.layers) - 1))
     finite = np.isfinite(output).all(axis=1)
     if not finite.all():
         raise NumericError(f"sample {int(np.argmin(finite))}: non-finite values in network output")
-    return BatchTrace(maps, output)
+    return BatchTrace(kept, output)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +663,8 @@ def train(net: NetworkSpec, images, labels, cfg: TrainConfig, rng: Rng) -> Train
 
 def evaluate_accuracy(net: NetworkSpec, images, labels) -> float:
     """Share of images whose most probable class is their label."""
+    if len(images) != len(labels):
+        raise UsageError(f"{len(images)} images but {len(labels)} labels")
     output = forward_batch(net, np.asarray(images, dtype=DTYPE), ()).output
     return int(np.count_nonzero(np.argmax(output, axis=1) == np.asarray(labels))) / len(output)
 

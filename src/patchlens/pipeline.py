@@ -17,8 +17,8 @@ import numpy as np
 
 from .deconvnet import PatchSet, extract_top_patches
 from .errors import UsageError
-from .importance import (METRICS, LayerScores, NeuronId, RankedSet, rank,
-                         score_neurons)
+from .importance import (METRICS, LayerScores, NeuronId, RankedSet, batch_reducer,
+                         rank, score_neurons)
 from .network import ActivationTrace, NetworkSpec, forward, forward_batch
 from .perturbation import perturb_batch
 
@@ -81,9 +81,9 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
     Every input check runs before the first forward pass, so the batch
     (whose draw checks n and sigma) is drawn before the query image's
     trace. The perturbation batch drives only the two batch
-    metrics' scores, and its walk keeps only the layer range's conv maps;
-    every deconvolution starts from the unperturbed image's own trace, when
-    patches() asks.
+    metrics' scores, and its walk keeps, of each conv map in the layer
+    range, only what those metrics read of it; every deconvolution starts
+    from the unperturbed image's own trace, when patches() asks.
     """
     metrics = tuple(metrics)
     if not metrics:
@@ -96,7 +96,7 @@ def explain(net: NetworkSpec, image: np.ndarray, cfg: PipelineConfig,
     needs_batch = any(m in ("act-out-corr", "act-precision") for m in metrics)
     noisy = perturb_batch(image, cfg.n, cfg.sigma, cfg.seed) if needs_batch else None
     original = forward(net, image)
-    batch = forward_batch(net, noisy, cfg.layers()) if needs_batch else None
+    batch = forward_batch(net, noisy, cfg.layers(), batch_reducer(metrics)) if needs_batch else None
     scores = score_neurons(net, original, batch, cfg.layers(), cfg.lambda_threshold, metrics)
     ranked = {m: rank(scores[m], cfg.n_top) for m in metrics}
     return ExplainResult(net, image, cfg, original, scores, ranked)

@@ -8,6 +8,7 @@ from patchlens.importance import (
     LayerScores,
     NeuronId,
     RankedSet,
+    batch_reducer,
     jaccard,
     rank,
     score_act_sum,
@@ -422,3 +423,37 @@ def test_score_neurons_matches_per_neuron_oracle():
             assert abs(s[3] - row[3]) <= 1e-12
         else:
             assert s[3] == row[3], (s, row)
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_streamed_batch_scores_match_kept_maps(seed):
+    # the explain's walk keeps only what the batch metrics read of each
+    # layer; both metrics must score it byte for byte as from kept maps
+    from patchlens.network import forward, forward_batch, reference_network
+    from patchlens.perturbation import perturb_batch
+
+    net = reference_network(Rng(seed, 0))
+    img = Rng(seed, 1).uniform(0, 1, (3, 32, 32)).astype(DTYPE)
+    layers = range(1, 8)
+    metrics = ("act-out-corr", "act-precision")
+    original = forward(net, img)
+    noisy = perturb_batch(img, 12, 0.1, 0)
+    streamed = forward_batch(net, noisy, layers, batch_reducer(metrics))
+    kept = forward_batch(net, noisy, layers)
+    assert all(isinstance(r, dict) for r in streamed.conv_acts.values())
+    got = score_neurons(net, original, streamed, layers, 1e-3, metrics)
+    want = score_neurons(net, original, kept, layers, 1e-3, metrics)
+    for m in metrics:
+        assert [(x.metric, x.layer, x.values.tobytes(), x.degenerate.tobytes()) for x in got[m]] == \
+            [(y.metric, y.layer, y.values.tobytes(), y.degenerate.tobytes()) for y in want[m]]
+
+
+def test_batch_metric_not_reduced_is_rejected():
+    from patchlens.network import forward_batch, reference_network
+
+    net = reference_network(Rng(43, 0))
+    images = Rng(43, 1).uniform(0, 1, (3, 3, 32, 32)).astype(DTYPE)
+    batch = forward_batch(net, images, (2,), batch_reducer(("act-out-corr",)))
+    assert score_correlation(batch, 2, ref_class=0).layer == 2
+    with pytest.raises(UsageError, match="act-precision"):
+        score_precision(batch, 2, 1e-3)
